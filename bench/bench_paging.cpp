@@ -234,7 +234,7 @@ int main(int Argc, char **Argv) {
         reportFatal("store-backed run diverged: " + R.Trap);
       store::StoreStats St = S->stats();
       sim::TotalTime T =
-          sim::storeTotalTime(Cpu, St.Misses, St.DecodeNanos, Disk);
+          sim::storeTotalTime(Cpu, St.Misses, 0, St.DecodeNanos, Disk);
       std::printf("%8u %12zu | %10llu %10llu | %9.1f%% %10.2f %12.3f\n",
                   Resident, SO.CacheBudgetBytes,
                   (unsigned long long)SimFaults, (unsigned long long)St.Misses,
@@ -289,9 +289,8 @@ int main(int Argc, char **Argv) {
       if (!R.Ok || R.Output != Eager.Output || R.ExitCode != Eager.ExitCode)
         reportFatal("paged store run diverged: " + R.Trap);
       store::StoreStats St = S->stats();
-      sim::TotalTime T = sim::pagedStoreTotalTime(Cpu, St.Misses,
-                                                  St.FetchedBytes,
-                                                  St.DecodeNanos, Disk);
+      sim::TotalTime T = sim::storeTotalTime(Cpu, St.Misses, St.FetchedBytes,
+                                             St.DecodeNanos, Disk);
       std::printf("%10zu | %7u %12zu | %10llu %9.1f%% | %10.2f %12.3f\n",
                   Target, S->frameCount(), S->frameBytes(),
                   (unsigned long long)St.Misses, St.hitRate() * 100,
@@ -550,8 +549,8 @@ int main(int Argc, char **Argv) {
           PrivResident += St.ResidentBytes;
         }
 
-        sim::TotalTime T = sim::sharedStoreTotalTime(Cpu, RS.Decodes,
-                                                     RS.DecodeNanos, Disk);
+        sim::TotalTime T =
+            sim::storeTotalTime(Cpu, RS.Decodes, 0, RS.DecodeNanos, Disk);
         std::printf("%7u %10zu | %10llu %12llu | %10llu %12llu\n", N, Budget,
                     (unsigned long long)RS.Decodes,
                     (unsigned long long)RS.ResidentBytes,
@@ -665,11 +664,11 @@ int main(int Argc, char **Argv) {
 
   // Eighth act (per-page codec selection, asserted): build the paged
   // store once per candidate chain used globally, then once with
-  // per-frame selection over the whole candidate set (decode budget 0 =
-  // pure size, deterministic). The selected container's frame bytes
-  // must come in strictly below the best single chain — the win only a
-  // per-frame manifest can record — and both the selected store and its
-  // saved/reloaded v4 image must execute byte-identically to eager.
+  // per-frame selection over the whole candidate set (pure size,
+  // deterministic). The selected container's frame bytes must come in
+  // strictly below the best single chain — the win only a per-frame
+  // chain table can record — and both the selected store and its
+  // saved/reloaded image must execute byte-identically to eager.
   if (runAct(8)) {
     std::string Err;
     const size_t SelTarget = 256;
@@ -715,16 +714,16 @@ int main(int Argc, char **Argv) {
     if (!SelR.Ok || SelR.Output != Eager.Output ||
         SelR.ExitCode != Eager.ExitCode || SelR.Steps != Eager.Steps)
       reportFatal("selection act: per-page run diverged: " + SelR.Trap);
-    // The saved v4 image must reload and execute identically too.
+    // The saved chain-table image must reload and execute identically.
     std::vector<uint8_t> Image = Sel->save();
     Result<std::unique_ptr<store::CodeStore>> Re =
         store::CodeStore::tryLoad(Image, store::StoreOptions());
     if (!Re.ok())
-      reportFatal("selection act: v4 reload failed: " + Re.error().message());
+      reportFatal("selection act: reload failed: " + Re.error().message());
     vm::RunResult ReR = store::runFromStore(*Re.value());
     if (!ReR.Ok || ReR.Output != Eager.Output ||
         ReR.ExitCode != Eager.ExitCode || ReR.Steps != Eager.Steps)
-      reportFatal("selection act: reloaded v4 run diverged: " + ReR.Trap);
+      reportFatal("selection act: reloaded run diverged: " + ReR.Trap);
     std::printf("%-18s %7u %12zu  (best single: %s, %zu B)\n", "per-page",
                 Sel->frameCount(), Sel->frameBytes(), BestSpec.c_str(),
                 BestSingle);

@@ -29,6 +29,7 @@
 #include "store/CodeStore.h"
 #include "store/Trace.h"
 #include "support/Support.h"
+#include "support/ThreadPool.h"
 
 #include <cstdio>
 #include <cstring>
@@ -76,7 +77,7 @@ int usage() {
       "demand_paged_vm and frame_server can execute and serve\n"
       "--per-page (with --store) trial-encodes every frame through the\n"
       "--codec chain plus each comma-separated --chains candidate and\n"
-      "keeps the smallest; a mixed outcome writes a manifest v4 image\n"
+      "keeps the smallest; a mixed outcome writes a per-frame chain table\n"
       "'profile' runs the program once, recording its block-level\n"
       "execution trace to a CCPF sidecar; compress --store --page-bytes N\n"
       "--profile FILE feeds it back so co-hot blocks share pages\n");
@@ -332,6 +333,46 @@ int doCompress(const Flags &F) {
   return 0;
 }
 
+int decompressStoreImage(const char *Input, const std::vector<uint8_t> &Bytes,
+                         const std::vector<const Codec *> &Chain,
+                         const Flags &F) {
+  Result<std::unique_ptr<store::CodeStore>> S =
+      store::CodeStore::tryLoad(Bytes, store::StoreOptions());
+  if (!S.ok()) {
+    std::fprintf(stderr, "%s: %s\n", Input, S.error().message().c_str());
+    return 1;
+  }
+  store::CodeStore &St = *S.value();
+  if (F.Jobs > 1) {
+    // Warm through the pool; the fault loop below reports any error.
+    std::vector<uint32_t> All(St.functionCount());
+    for (uint32_t I = 0; I != St.functionCount(); ++I)
+      All[I] = I;
+    ThreadPool Pool(F.Jobs);
+    St.prefetch(All, Pool);
+    Pool.wait();
+  }
+  size_t DecodedInstrs = 0;
+  for (uint32_t I = 0; I != St.functionCount(); ++I) {
+    Result<std::shared_ptr<const vm::VMFunction>> R = St.fault(I);
+    if (!R.ok()) {
+      std::fprintf(stderr, "%s: function '%s': %s\n", Input,
+                   St.functionName(I).c_str(), R.error().message().c_str());
+      return 1;
+    }
+    DecodedInstrs += R.value()->Code.size();
+  }
+  std::printf("%s: store image, %u function(s), %u frame(s), %zu frame "
+              "bytes -> %zu instruction(s) (chain %s%s%s, %u job(s))\n",
+              Input, St.functionCount(), St.frameCount(), St.frameBytes(),
+              DecodedInstrs, St.chainSpec().c_str(),
+              St.paged() ? ", paged" : "",
+              St.perPageChains() ? ", per-page chains" : "", F.Jobs);
+  if (F.Stats)
+    printStats(Chain);
+  return 0;
+}
+
 int doDecompress(const Flags &F) {
   if (F.Positional.size() != 1)
     return usage();
@@ -354,46 +395,10 @@ int doDecompress(const Flags &F) {
     return 1;
   }
   // A store image (--store / CodeStore::save) carries its manifest at
-  // frame 0; the manifest is not codec-compressed, so skip it and
-  // decompress the function frames that follow.
-  bool StoreImage =
-      !C.value().Frames.empty() && store::isStoreManifest(C.value().Frames[0]);
-  // A per-page image (manifest v4, version byte right after the CCSM
-  // magic) mixes chains across frames, so the container's single chain
-  // cannot decode it; route it through the store, which faults every
-  // function through its own per-frame chain.
-  if (StoreImage && C.value().Frames[0].size() > 4 &&
-      C.value().Frames[0][4] == 4) {
-    Result<std::unique_ptr<store::CodeStore>> S =
-        store::CodeStore::tryLoad(Bytes, store::StoreOptions());
-    if (!S.ok()) {
-      std::fprintf(stderr, "%s: %s\n", Input, S.error().message().c_str());
-      return 1;
-    }
-    store::CodeStore &St = *S.value();
-    size_t DecodedInstrs = 0;
-    for (uint32_t I = 0; I != St.functionCount(); ++I) {
-      Result<std::shared_ptr<const vm::VMFunction>> R = St.fault(I);
-      if (!R.ok()) {
-        std::fprintf(stderr, "%s: function '%s': %s\n", Input,
-                     St.functionName(I).c_str(),
-                     R.error().message().c_str());
-        return 1;
-      }
-      DecodedInstrs += R.value()->Code.size();
-    }
-    std::printf("%s: per-page store image, %u function(s), %u frame(s), "
-                "%zu frame bytes -> %zu instruction(s) (primary chain %s)\n",
-                Input, St.functionCount(), St.frameCount(), St.frameBytes(),
-                DecodedInstrs, St.chainSpec().c_str());
-    if (F.Stats)
-      printStats(Chain);
-    return 0;
-  }
-  if (StoreImage) {
-    std::printf("%s: store image, skipping the manifest frame\n", Input);
-    C.value().Frames.erase(C.value().Frames.begin());
-  }
+  // frame 0. Only the store reads manifests, so load the image through
+  // it and fault every function, each frame through its own chain.
+  if (!C.value().Frames.empty() && store::isStoreManifest(C.value().Frames[0]))
+    return decompressStoreImage(Input, Bytes, Chain, F);
   Result<std::vector<std::vector<uint8_t>>> Payloads =
       tryDecompressAll(Chain, C.value().Frames, F.Jobs);
   if (!Payloads.ok()) {

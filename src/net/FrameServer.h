@@ -11,7 +11,7 @@
 /// whatever else implements the seam — and serves its compressed frames
 /// to any number of concurrent TCP clients. One accept thread hands
 /// each connection to its own handler thread; handlers run the
-/// handshake (Hello -> Welcome carrying the container's manifest-v3
+/// handshake (Hello -> Welcome carrying the container's manifest
 /// content hash), then answer GetFrame and GetBatch until the peer
 /// leaves. A batch is one request message and one reply message however
 /// many frames it names — the round-trip economics the client's
@@ -111,7 +111,7 @@ public:
 
   uint16_t port() const { return Listen.port(); }
   const std::string &address() const { return Listen.address(); }
-  /// The hash the handshake advertises (manifest-v3 content hash).
+  /// The hash the handshake advertises (manifest content hash).
   uint64_t contentHash() const { return Hash; }
   const store::FrameSource &source() const { return *Src; }
 

@@ -17,7 +17,7 @@
 ///
 /// The conversation: the client opens with Hello (magic + protocol
 /// version); the server answers Welcome carrying the container's
-/// manifest-v3 content hash, chain spec, and frame census — the
+/// manifest content hash, chain spec, and frame census — the
 /// handshake is what lets a SocketFrameSource answer contentHash()
 /// without fetching, so the shared-registry trust check works
 /// end-to-end over the network. After that the client sends GetFrame

@@ -20,7 +20,7 @@
 ///     extra connections on demand (each handshaking afresh) rather
 ///     than serializing behind one socket.
 ///   - Handshake identity: the Welcome message carries the server
-///     container's manifest-v3 content hash, so contentHash() answers
+///     container's manifest content hash, so contentHash() answers
 ///     from the handshake without fetching a byte — the shared-registry
 ///     trust check (claimed manifest hash vs server-computed hash)
 ///     works end-to-end over the network, and every *re*-dial verifies

@@ -58,28 +58,27 @@ inline TotalTime totalTime(double CpuSeconds, const PagingResult &P,
   return {CpuSeconds, static_cast<double>(P.Faults) * D.FaultSeconds};
 }
 
-/// Decode-on-fault variant for the store runtime (src/store): every
-/// store miss pays one backing-store fetch, and the CPU additionally
-/// runs the store's measured frame decompression — the "decompress the
-/// page contents on page-in" configuration of section 1.
+/// Decode-on-fault model for the store runtime (src/store) — the
+/// "decompress the page contents on page-in" configuration of section
+/// 1. Every store fault pays one backing-store seek, the bytes it reads
+/// pay transfer time, and the CPU additionally runs the store's measured
+/// frame decompression.
+///
+/// \p FetchedCompressedBytes (store::StoreStats::FetchedBytes) models
+/// a read size that varies per fault, as with sub-function pages:
+/// smaller pages trade more seeks for fewer wasted bytes per fault, and
+/// the sweep in EXPERIMENTS E7 measures where that trade pays off. Pass
+/// 0 to fold the transfer into the seek constant, as for whole-function
+/// frames.
+///
+/// Shared stores use the same model with registry-global numbers: N
+/// tenants over one FrameRegistry pass their summed interpreter CPU,
+/// store::RegistryStats::Decodes as \p Faults and its DecodeNanos — a
+/// frame decoded for one tenant is a free hit for every other, so the
+/// decode and fault bills are paid once, process-wide.
 inline TotalTime storeTotalTime(double CpuSeconds, uint64_t Faults,
+                                uint64_t FetchedCompressedBytes,
                                 uint64_t DecodeNanos, const DiskModel &D) {
-  return {CpuSeconds + static_cast<double>(DecodeNanos) / 1e9,
-          static_cast<double>(Faults) * D.FaultSeconds};
-}
-
-/// Page-granularity variant of storeTotalTime: when the store faults
-/// sub-function pages, the fixed per-fault seek still applies to every
-/// fault, but the read size now varies with the page, so the transfer
-/// term is modeled from the compressed bytes actually fetched
-/// (store::StoreStats::FetchedBytes) instead of being folded into the
-/// seek constant. Smaller pages trade more seeks for fewer wasted bytes
-/// per fault — the sweep in EXPERIMENTS E7 measures where that trade
-/// pays off.
-inline TotalTime pagedStoreTotalTime(double CpuSeconds, uint64_t Faults,
-                                     uint64_t FetchedCompressedBytes,
-                                     uint64_t DecodeNanos,
-                                     const DiskModel &D) {
   return {CpuSeconds + static_cast<double>(DecodeNanos) / 1e9,
           static_cast<double>(Faults) * D.FaultSeconds +
               static_cast<double>(FetchedCompressedBytes) /
@@ -99,24 +98,6 @@ inline TotalTime remoteTotalTime(double CpuSeconds, uint64_t DecodeNanos,
           static_cast<double>(FetchVirtualNanos) / 1e9};
 }
 
-/// Multi-tenant variant: N tenant stores share one FrameRegistry, so the
-/// decode and fault bills are *registry-global* — a frame decoded for
-/// one tenant is a free hit for every other. \p TenantsCpuSeconds is the
-/// summed interpreter CPU across tenants (each tenant still executes its
-/// own instructions); \p RegistryDecodes and \p RegistryDecodeNanos come
-/// from store::RegistryStats, which bill each shared decode exactly
-/// once, process-wide. Contrast with N private stores, whose time is N
-/// independent storeTotalTime bills: the difference is the paper's
-/// memory-economics argument applied across tenants instead of across
-/// functions.
-inline TotalTime sharedStoreTotalTime(double TenantsCpuSeconds,
-                                      uint64_t RegistryDecodes,
-                                      uint64_t RegistryDecodeNanos,
-                                      const DiskModel &D) {
-  return {TenantsCpuSeconds + static_cast<double>(RegistryDecodeNanos) / 1e9,
-          static_cast<double>(RegistryDecodes) * D.FaultSeconds};
-}
-
 /// JIT cost model: what compiling hot code to native form charges. The
 /// paper's generator produces ~2.5 MB/s of native code, so a tiered run
 /// pays CompiledBytes / BytesPerSecond of CPU before the hot set runs
@@ -125,7 +106,7 @@ struct JitModel {
   double BytesPerSecond = 2.5e6; ///< Paper's JIT rate headline.
 };
 
-/// Tiered-execution variant: the paged-store time model plus a compile
+/// Tiered-execution variant: the store time model plus a compile
 /// charge on the CPU term. \p CompiledBytes is the threaded code the
 /// tier produced (store::TierStats::CompiledBytesTotal); compilation
 /// runs on the CPU like decode does, while the paging terms are
@@ -135,8 +116,8 @@ inline TotalTime tieredTotalTime(double CpuSeconds, uint64_t Faults,
                                  uint64_t FetchedCompressedBytes,
                                  uint64_t DecodeNanos, uint64_t CompiledBytes,
                                  const DiskModel &D, const JitModel &J) {
-  TotalTime T = pagedStoreTotalTime(CpuSeconds, Faults,
-                                    FetchedCompressedBytes, DecodeNanos, D);
+  TotalTime T = storeTotalTime(CpuSeconds, Faults, FetchedCompressedBytes,
+                               DecodeNanos, D);
   T.CpuSeconds += static_cast<double>(CompiledBytes) / J.BytesPerSecond;
   return T;
 }

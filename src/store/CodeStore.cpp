@@ -24,16 +24,20 @@ using pipeline::PayloadKind;
 namespace {
 
 constexpr uint32_t ManifestMagic = 0x4D534343; // "CCSM".
-constexpr uint8_t ManifestVersion = 1;        // Whole-function frames.
-constexpr uint8_t ManifestVersionPaged = 2;   // Sub-function page frames.
-constexpr uint8_t ManifestVersionHashed = 3;  // Flags + content-hash claim.
-constexpr uint8_t ManifestVersionPerPage = 4; // v3 + per-frame chain table.
+/// The one manifest layout the loader accepts. Every manifest carries
+/// its flags and content-hash claim; what varies per container is
+/// signalled by flag bits, never by another version.
+constexpr uint8_t ManifestVersion = 3;
 
-constexpr uint8_t ManifestFlagPaged = 1; // v3/v4 flags bit 0.
+constexpr uint8_t ManifestFlagPaged = 1;      // Sub-function page frames.
+constexpr uint8_t ManifestFlagChainTable = 2; // Per-frame chain table.
+constexpr uint8_t ManifestFlagsKnown =
+    ManifestFlagPaged | ManifestFlagChainTable;
 
-/// v4 chain-table bounds: a per-frame table needs at least one
-/// alternative beside the primary, and a container naming dozens of
-/// chains is a lie (the registry holds a handful of codecs).
+/// On-disk chain-table bounds: a per-frame table needs at least one
+/// alternative beside the primary (a one-chain store writes no table),
+/// and a container naming dozens of chains is a lie (the registry holds
+/// a handful of codecs).
 constexpr uint64_t MinPerPageChains = 2;
 constexpr uint64_t MaxPerPageChains = 64;
 
@@ -42,12 +46,13 @@ uint8_t bodyTag(PayloadKind K) {
   return K == PayloadKind::FuncImage ? 0 : 1; // 1 = fixed-width code only.
 }
 
-/// Digest of a per-frame chain assignment, folded into the module
-/// identity's chain-spec string: two tenants whose containers hash
-/// equal (the hash covers frames, not the manifest) but disagree on
-/// which chain decodes which frame must not share decoded bodies.
-uint64_t perPageDigest(const std::vector<std::string> &Specs,
-                       const std::vector<uint32_t> &FrameChain) {
+/// Digest of a store's chain table and per-frame chain assignment,
+/// folded into the module identity's chain-spec string: two tenants
+/// whose containers hash equal (the hash covers frames, not the
+/// manifest) but disagree on which chain decodes which frame must not
+/// share decoded bodies.
+uint64_t chainTableDigest(const std::vector<std::string> &Specs,
+                          const std::vector<uint32_t> &FrameChain) {
   ByteWriter W;
   W.writeVarU(Specs.size());
   for (const std::string &S : Specs)
@@ -55,7 +60,7 @@ uint64_t perPageDigest(const std::vector<std::string> &Specs,
   W.writeVarU(FrameChain.size());
   for (uint32_t C : FrameChain)
     W.writeVarU(C);
-  return pipeline::hashContainerFrames("store-perpage", {W.take()});
+  return pipeline::hashContainerFrames("store-chains", {W.take()});
 }
 
 } // namespace
@@ -86,15 +91,12 @@ Result<bool> CodeStore::initRuntime(StoreOptions O) {
     unsigned N = std::max(1u, O.Shards);
     N = std::min<unsigned>(N, std::max<uint32_t>(1, frameCount()));
     RO.Shards = N;
-    RO.Policy = O.Policy;
     Reg = std::make_shared<FrameRegistry>(RO);
     PrivateReg = true;
   }
   ModuleIdent Id;
-  Id.ChainSpec = Spec;
-  if (!FrameChain.empty())
-    Id.ChainSpec += "#perpage-" +
-                    std::to_string(perPageDigest(ChainSpecs, FrameChain));
+  Id.ChainSpec = Spec + "#chains-" +
+                 std::to_string(chainTableDigest(ChainSpecs, FrameChain));
   Id.FrameCount = frameCount();
   Id.FuncCount = functionCount();
   Id.Paged = Paged;
@@ -153,8 +155,9 @@ std::unique_ptr<CodeStore> CodeStore::build(const vm::VMProgram &P,
 
   std::unique_ptr<CodeStore> S(new CodeStore());
   S->Spec = ChainSpec;
-  S->Chain = std::move(Chain);
-  S->Kind = S->Chain.front()->payloadKind();
+  S->Kind = Chain.front()->payloadKind();
+  S->ChainSpecs.push_back(ChainSpec);
+  S->Chains.push_back(std::move(Chain));
   S->Skel.Entry = P.Entry;
   S->Skel.Globals = P.Globals;
   S->Skel.GlobalBase = P.GlobalBase;
@@ -237,14 +240,13 @@ std::unique_ptr<CodeStore> CodeStore::build(const vm::VMProgram &P,
       S->Funcs.push_back(std::move(Rec));
     }
   }
-  // Candidate chains for per-frame selection: the primary chain first,
-  // then every distinct candidate that parses and serves the same
-  // manifest body kind (Raw and FixedCode payloads are the same bytes;
-  // FuncImage is its own family).
-  std::vector<std::string> CandSpecs{ChainSpec};
-  std::vector<std::vector<const pipeline::Codec *>> CandChains{S->Chain};
+  // Candidate chains for per-frame selection join the chain table after
+  // the primary: every distinct candidate that parses and serves the
+  // same manifest body kind (Raw and FixedCode payloads are the same
+  // bytes; FuncImage is its own family).
   for (const std::string &CS : Opts.CandidateChains) {
-    if (std::find(CandSpecs.begin(), CandSpecs.end(), CS) != CandSpecs.end())
+    if (std::find(S->ChainSpecs.begin(), S->ChainSpecs.end(), CS) !=
+        S->ChainSpecs.end())
       continue;
     std::vector<const pipeline::Codec *> C = pipeline::parseChain(CS, Error);
     if (C.empty())
@@ -255,31 +257,32 @@ std::unique_ptr<CodeStore> CodeStore::build(const vm::VMProgram &P,
               "'";
       return nullptr;
     }
-    if (CandSpecs.size() == MaxPerPageChains) {
+    if (S->ChainSpecs.size() == MaxPerPageChains) {
       Error = "store: more than " + std::to_string(MaxPerPageChains - 1) +
               " candidate chains";
       return nullptr;
     }
-    CandSpecs.push_back(CS);
-    CandChains.push_back(std::move(C));
+    S->ChainSpecs.push_back(CS);
+    S->Chains.push_back(std::move(C));
   }
 
   std::vector<std::vector<uint8_t>> Frames;
-  if (CandSpecs.size() > 1) {
-    pipeline::ChainSelection Sel = pipeline::selectChainsPerItem(
-        CandChains, Payloads, Opts.FrameDecodeBudgetNanos, Opts.BuildJobs);
+  if (S->Chains.size() > 1) {
+    pipeline::ChainSelection Sel =
+        pipeline::selectChainsPerItem(S->Chains, Payloads, Opts.BuildJobs);
     Frames = std::move(Sel.Frames);
+    S->FrameChain = std::move(Sel.ChainIdx);
     // A uniform outcome (every frame picked the primary) normalizes to
     // a plain single-chain store: the frames are exactly what
-    // compressAll would have produced, so the container stays manifest
-    // v3, bit-identical to a build without candidates.
-    if (!Sel.Uniform) {
-      S->ChainSpecs = std::move(CandSpecs);
-      S->Chains = std::move(CandChains);
-      S->FrameChain = std::move(Sel.ChainIdx);
+    // compressAll would have produced, so the container is bit-identical
+    // to a build without candidates.
+    if (Sel.Uniform) {
+      S->ChainSpecs.resize(1);
+      S->Chains.resize(1);
     }
   } else {
-    Frames = pipeline::compressAll(S->Chain, Payloads, Opts.BuildJobs);
+    Frames = pipeline::compressAll(S->Chains[0], Payloads, Opts.BuildJobs);
+    S->FrameChain.assign(Frames.size(), 0);
   }
 
   // The content identity under which the registry knows this module:
@@ -304,11 +307,12 @@ std::unique_ptr<CodeStore> CodeStore::build(const vm::VMProgram &P,
 }
 
 Result<std::vector<uint8_t>> CodeStore::trySave() {
-  const bool PerPage = !FrameChain.empty();
+  const bool PerPage = perPageChains();
   ByteWriter W;
   W.writeU32(ManifestMagic);
-  W.writeU8(PerPage ? ManifestVersionPerPage : ManifestVersionHashed);
-  W.writeU8(Paged ? ManifestFlagPaged : 0);
+  W.writeU8(ManifestVersion);
+  W.writeU8((Paged ? ManifestFlagPaged : 0) |
+            (PerPage ? ManifestFlagChainTable : 0));
   // The claim a loader checks against the frames it can hash itself,
   // and trusts when it cannot. Written at a fixed offset (6) right
   // after magic/version/flags, so fault-injection tests can target it.
@@ -420,52 +424,36 @@ CodeStore::tryFromSource(std::unique_ptr<FrameSource> Src, StoreOptions Opts) {
   return tryDecode([&] {
     std::unique_ptr<CodeStore> S(new CodeStore());
     S->Spec = Src->chainSpec();
-    S->Chain = Chain;
     S->Kind = Chain.front()->payloadKind();
+    S->ChainSpecs.push_back(S->Spec);
+    S->Chains.push_back(Chain);
 
     const std::vector<uint8_t> &Manifest = MR.Bytes;
     ByteReader R(Manifest);
     if (R.readU32() != ManifestMagic)
       decodeFail("store: bad manifest magic");
-    uint8_t Version = R.readU8();
-    bool HaveClaim = false;
-    bool PerPage = false;
-    uint64_t Claim = 0;
-    if (Version == ManifestVersionHashed ||
-        Version == ManifestVersionPerPage) {
-      PerPage = Version == ManifestVersionPerPage;
-      uint8_t Flags = R.readU8();
-      if (Flags & ~uint8_t(ManifestFlagPaged))
-        decodeFail("store: unknown manifest flags");
-      S->Paged = (Flags & ManifestFlagPaged) != 0;
-      Claim = R.readU64();
-      HaveClaim = true;
-    } else if (Version == ManifestVersion ||
-               Version == ManifestVersionPaged) {
-      S->Paged = Version == ManifestVersionPaged;
-    } else {
+    if (R.readU8() != ManifestVersion)
       decodeFail("store: unsupported manifest version");
-    }
+    uint8_t Flags = R.readU8();
+    if (Flags & ~ManifestFlagsKnown)
+      decodeFail("store: unknown manifest flags");
+    S->Paged = (Flags & ManifestFlagPaged) != 0;
+    const bool PerPage = (Flags & ManifestFlagChainTable) != 0;
+    const uint64_t Claim = R.readU64();
     if (R.readU8() != bodyTag(S->Kind))
       decodeFail("store: manifest payload kind does not match codec chain");
     if (PerPage) {
-      // The v4 chain table. Entry 0 must restate the container spec —
-      // the manifest cannot quietly reroute the primary chain — and
-      // every entry must name a registered chain of the same frame
-      // body kind.
+      // The chain table. Entry 0 must restate the container spec — the
+      // manifest cannot quietly reroute the primary chain — and every
+      // entry must name a registered chain of the same frame body kind.
       uint64_t NumChains = R.readVarU();
       if (NumChains < MinPerPageChains || NumChains > MaxPerPageChains)
         decodeFail("store: per-page chain count out of range");
-      for (uint64_t I = 0; I != NumChains; ++I) {
+      if (R.readStr() != S->Spec)
+        decodeFail("store: per-page chain table head does not match "
+                   "the container spec");
+      for (uint64_t I = 1; I != NumChains; ++I) {
         std::string CS = R.readStr();
-        if (I == 0) {
-          if (CS != S->Spec)
-            decodeFail("store: per-page chain table head does not match "
-                       "the container spec");
-          S->ChainSpecs.push_back(std::move(CS));
-          S->Chains.push_back(S->Chain);
-          continue;
-        }
         std::string CE;
         std::vector<const pipeline::Codec *> C = pipeline::parseChain(CS, CE);
         if (C.empty())
@@ -477,17 +465,17 @@ CodeStore::tryFromSource(std::unique_ptr<FrameSource> Src, StoreOptions Opts) {
         S->Chains.push_back(std::move(C));
       }
     }
-    S->Skel.Entry = static_cast<uint32_t>(R.readVarU());
-    S->Skel.GlobalBase = static_cast<uint32_t>(R.readVarU());
-    S->Skel.GlobalEnd = static_cast<uint32_t>(R.readVarU());
+    S->Skel.Entry = R.readVarU32();
+    S->Skel.GlobalBase = R.readVarU32();
+    S->Skel.GlobalEnd = R.readVarU32();
     size_t NumGlobals = R.readVarU();
     if (NumGlobals > Manifest.size())
       decodeFail("store: inflated global count");
     for (size_t I = 0; I != NumGlobals; ++I) {
       vm::VMGlobal G;
       G.Name = R.readStr();
-      G.Addr = static_cast<uint32_t>(R.readVarU());
-      G.Size = static_cast<uint32_t>(R.readVarU());
+      G.Addr = R.readVarU32();
+      G.Size = R.readVarU32();
       G.Init = R.readBytes(R.readVarU());
       S->Skel.Globals.push_back(std::move(G));
     }
@@ -497,15 +485,15 @@ CodeStore::tryFromSource(std::unique_ptr<FrameSource> Src, StoreOptions Opts) {
     for (size_t I = 0; I != NumFuncs; ++I) {
       FuncRecord Rec;
       Rec.Name = R.readStr();
-      Rec.FrameSize = static_cast<uint32_t>(R.readVarU());
+      Rec.FrameSize = R.readVarU32();
       if (S->Paged)
-        Rec.CodeLen = static_cast<uint32_t>(R.readVarU());
+        Rec.CodeLen = R.readVarU32();
       size_t NumLabels = R.readVarU();
       if (NumLabels > Manifest.size())
         decodeFail("store: inflated label count");
       Rec.LabelPos.reserve(NumLabels);
       for (size_t L = 0; L != NumLabels; ++L)
-        Rec.LabelPos.push_back(static_cast<uint32_t>(R.readVarU()));
+        Rec.LabelPos.push_back(R.readVarU32());
       if (S->Paged) {
         // The interpreter branches through this table before the page
         // holding the target is decoded, so validate it here: every
@@ -525,7 +513,7 @@ CodeStore::tryFromSource(std::unique_ptr<FrameSource> Src, StoreOptions Opts) {
         for (size_t Pg = 0; Pg != NumPages; ++Pg) {
           PageRec PR;
           PR.FirstInstr = static_cast<uint32_t>(Covered);
-          PR.InstrCount = static_cast<uint32_t>(R.readVarU());
+          PR.InstrCount = R.readVarU32();
           if (PR.InstrCount == 0 && Rec.CodeLen != 0)
             decodeFail("store: empty page in '" + Rec.Name + "'");
           Covered += PR.InstrCount;
@@ -538,7 +526,7 @@ CodeStore::tryFromSource(std::unique_ptr<FrameSource> Src, StoreOptions Opts) {
               decodeFail("store: inflated page label count");
             PR.Labels.reserve(NumPageLabels);
             for (size_t PL = 0; PL != NumPageLabels; ++PL) {
-              uint32_t L = static_cast<uint32_t>(R.readVarU());
+              uint32_t L = R.readVarU32();
               // Page labels index the function label table and must be
               // strictly increasing (they are ranks' targets).
               if (L >= NumLabels)
@@ -562,10 +550,11 @@ CodeStore::tryFromSource(std::unique_ptr<FrameSource> Src, StoreOptions Opts) {
       }
       S->Funcs.push_back(std::move(Rec));
     }
+    // One chain index per frame, in frame order, after the function
+    // records (the frame count is only known once those are parsed).
+    // Without a table every frame decodes through entry 0.
+    const size_t NFrames = S->frameCount();
     if (PerPage) {
-      // One chain index per frame, in frame order, after the function
-      // records (the frame count is only known once those are parsed).
-      size_t NFrames = S->Paged ? S->TotalPages : S->Funcs.size();
       S->FrameChain.reserve(NFrames);
       for (size_t I = 0; I != NFrames; ++I) {
         uint64_t C = R.readVarU();
@@ -580,9 +569,10 @@ CodeStore::tryFromSource(std::unique_ptr<FrameSource> Src, StoreOptions Opts) {
       decodeFail("store: container holds no functions");
     if (S->Skel.Entry >= S->Funcs.size())
       decodeFail("store: entry function out of range");
-    size_t WantFrames = S->Paged ? S->TotalPages : S->Funcs.size();
-    if (WantFrames != Src->functionFrameCount())
+    if (NFrames != Src->functionFrameCount())
       decodeFail("store: manifest frame count does not match container");
+    if (!PerPage)
+      S->FrameChain.assign(NFrames, 0);
 
     // Resolve the module's content identity. Recomputing from the
     // frames is the ground truth; the manifest claim is checked against
@@ -593,23 +583,14 @@ CodeStore::tryFromSource(std::unique_ptr<FrameSource> Src, StoreOptions Opts) {
     // serves only itself, and a corrupt frame still fails its fault
     // typed.
     uint64_t Computed = 0;
-    bool HaveComputed = Src->contentHash(Computed);
-    if (Opts.SharedRegistry && HaveClaim && HaveComputed &&
-        Claim != Computed)
-      decodeFail("store: manifest container hash does not match the "
-                 "frames; refusing to join the shared registry");
-    if (HaveComputed)
+    if (Src->contentHash(Computed)) {
+      if (Opts.SharedRegistry && Claim != Computed)
+        decodeFail("store: manifest container hash does not match the "
+                   "frames; refusing to join the shared registry");
       S->Hash = Computed;
-    else if (HaveClaim)
+    } else {
       S->Hash = Claim;
-    else if (!Opts.SharedRegistry)
-      // Legacy container on an unhashable source: any stable value
-      // works for a private registry.
-      S->Hash = pipeline::hashContainerFrames(S->Spec, {Manifest});
-    else
-      decodeFail("store: legacy container carries no content hash and "
-                 "the source cannot be hashed; cannot join a shared "
-                 "registry");
+    }
 
     S->indexPages();
     S->Source = std::move(Src);
@@ -644,10 +625,7 @@ CodeStore::FaultOutcome CodeStore::decodeFrame(uint32_t Id, FetchMetrics &M) {
     return DecodeError("store: fetch frame of '" + Rec.Name + "' failed [" +
                        fetchErrorKindName(Fetched.Err) + "]: " + Fetched.Msg);
   std::vector<uint8_t> Cur = std::move(Fetched.Bytes);
-  // Manifest v4 stores route each frame through its own chain; everyone
-  // else decodes through the container's single chain.
-  const std::vector<const pipeline::Codec *> &Decode =
-      FrameChain.empty() ? Chain : Chains[FrameChain[Id]];
+  const std::vector<const pipeline::Codec *> &Decode = Chains[FrameChain[Id]];
   for (auto It = Decode.rbegin(); It != Decode.rend(); ++It) {
     Result<std::vector<uint8_t>> R = (*It)->tryDecompress(Cur);
     if (!R.ok())
@@ -850,9 +828,6 @@ void CodeStore::unpinEntry(uint32_t Id) {
   if (!PinnedByMe[Id])
     return;
   PinnedByMe[Id] = 0;
-  // A stale generation (the pinned entry was evicted under plain LRU
-  // and possibly re-created) makes this a registry no-op — the pin
-  // died with the eviction.
   Reg->unpin(keyOf(Id), PinGens[Id]);
   PinGens[Id] = 0;
 }

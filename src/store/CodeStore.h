@@ -52,35 +52,41 @@
 /// FuncImage). Module-granularity codecs (wire) cannot represent a
 /// single function and are rejected at build/load time with a clear
 /// error. The on-disk form is a standard CCPK container whose frame 0 is
-/// the store manifest (globals/entry skeleton plus per-function headers;
-/// manifest v3 additionally carries the container's content hash and a
-/// paged flag — v1/v2 containers still load) and whose frames 1..N are
-/// the compressed bodies (functions, or pages in manifest order).
+/// the store manifest and whose frames 1..N are the compressed bodies
+/// (functions, or pages in manifest order). There is one manifest
+/// layout, version 3: magic, version, a flags byte, the container's
+/// content-hash claim, the body kind, then the globals/entry skeleton
+/// and the per-function headers. Flag bit 0 marks a paged container
+/// (per-function page tables follow each header); flag bit 1 marks a
+/// per-frame chain table. The loader refuses every other version byte
+/// and every unknown flag bit with a typed error; there is no legacy
+/// layout to fall back to.
 ///
-/// Per-frame codec selection. build() with StoreOptions::CandidateChains
-/// trial-encodes every frame through the primary chain plus each
-/// candidate and keeps the smallest verified frame
-/// (pipeline::selectChainsPerItem) — hot loops of fixed-width code may
-/// win with a context-modeled instruction codec while string-heavy data
-/// pages win with a block-sorting byte codec. A non-uniform outcome is
-/// recorded as manifest v4: a chain table (entry 0 is the container's
-/// chain spec) plus one chain index per frame, and decodeFrame routes
-/// each frame through its own chain. A uniform outcome normalizes back
-/// to manifest v3, bit-identical to a build without candidates.
+/// Per-frame codec selection. Every store holds one chain table whose
+/// entry 0 is the container's chain, plus the index of the chain that
+/// decodes each frame; decodeFrame routes every frame through its own
+/// entry. build() with StoreOptions::CandidateChains trial-encodes
+/// every frame through the primary chain plus each candidate and keeps
+/// the smallest verified frame (pipeline::selectChainsPerItem) — hot
+/// loops of fixed-width code may win with a context-modeled instruction
+/// codec while string-heavy data pages win with a block-sorting byte
+/// codec. A non-uniform outcome writes the table (flag bit 1: the chain
+/// specs after the body kind, one index per frame after the function
+/// headers). A uniform outcome keeps a one-entry table that is not
+/// written, so the container is bit-identical to a build without
+/// candidates.
 ///
 /// Content addressing and trust. The registry key's hash half is
 /// pipeline::hashContainerFrames over (chain spec, frame bytes),
 /// computed by build() and recomputed at load time whenever the source
 /// can produce its content (in-memory containers; simulated-remote
-/// origins). A v3 manifest's *claimed* hash is checked against the
+/// origins). The manifest's *claimed* hash is checked against the
 /// recomputed one before a store may join a shared registry — a
 /// doctored or corrupt container fails typed instead of poisoning
 /// another tenant's frames. Sources that cannot be content-hashed
-/// (on-demand files) trust the manifest claim, and legacy v1/v2
-/// containers from such sources have no claim at all, so they are
-/// refused shared registration outright; private stores accept all of
-/// these (a corrupt frame still surfaces as a typed per-fault error,
-/// never anyone else's problem).
+/// (on-demand files) trust the claim. Private stores accept a
+/// mismatched claim (a corrupt frame still surfaces as a typed
+/// per-fault error, never anyone else's problem).
 ///
 /// Frames live behind a FrameSource (store/FrameSource.h), so the same
 /// fault path serves frames held in memory (LocalFrameSource), read on
@@ -127,12 +133,12 @@ struct StoreOptions {
   /// split across shards (remainder bytes go one each to the first
   /// shards, so the shard budgets always sum to this value). The budget
   /// is a target, not a hard cap: the entry faulted in most recently is
-  /// never evicted, so any budget >= 1 frame still executes. Ignored —
-  /// along with Shards and Policy — when SharedRegistry is set: a
-  /// shared registry brings its own RegistryOptions.
+  /// never evicted, so any budget >= 1 frame still executes, and pinned
+  /// entries are never evicted. Ignored — along with Shards — when
+  /// SharedRegistry is set: a shared registry brings its own
+  /// RegistryOptions.
   size_t CacheBudgetBytes = 1u << 20;
   unsigned Shards = 8; ///< Clamped to [1, frame count] (private registry).
-  EvictPolicy Policy = EvictPolicy::PinAwareLRU;
   unsigned BuildJobs = 1; ///< Compression fan-out in build().
   /// build() only: when nonzero, split functions at basic-block
   /// boundaries into pages of at most this many fixed-width code bytes
@@ -147,17 +153,12 @@ struct StoreOptions {
   /// Candidates must exist in the registry and serve the same manifest
   /// body kind as the primary chain (FuncImage chains pair only with
   /// FuncImage candidates; Raw and FixedCode mix freely — their
-  /// payloads are the same bytes). A non-uniform selection is recorded
-  /// in a manifest v4 per-frame chain table; when every frame picks the
-  /// primary chain the container stays manifest v3, bit-identical to a
-  /// build without candidates.
+  /// payloads are the same bytes). The selection is a pure
+  /// compressed-size comparison, so it is deterministic. A non-uniform
+  /// selection is written as the manifest's per-frame chain table; when
+  /// every frame picks the primary chain the container is bit-identical
+  /// to a build without candidates.
   std::vector<std::string> CandidateChains;
-  /// build() only, with CandidateChains: reject candidate chains whose
-  /// modeled per-frame decode time exceeds this many nanoseconds (rates
-  /// come from the codecs' own snapshot() deltas over the trial
-  /// traffic). Zero means unlimited, which keeps the selection fully
-  /// deterministic — a pure compressed-size comparison.
-  uint64_t FrameDecodeBudgetNanos = 0;
   /// How frame fetches behave on a flaky source (ignored by sources that
   /// cannot fail transiently).
   RetryPolicy Retry;
@@ -237,9 +238,8 @@ public:
 
   /// Serializes manifest + frames into a CCPK container, fetching every
   /// frame from the source. Fails typed if the source cannot produce
-  /// some frame (e.g. a dead backing file). Writes manifest v3 (with
-  /// the content-hash claim) whatever version was loaded — or v4 when
-  /// the store carries a per-frame chain table, which v4 preserves.
+  /// some frame (e.g. a dead backing file). Writes the one manifest
+  /// layout, with the per-frame chain table when perPageChains().
   Result<std::vector<uint8_t>> trySave();
   /// Aborting wrapper for stores whose source cannot fail (in-memory).
   std::vector<uint8_t> save();
@@ -278,14 +278,15 @@ public:
   }
   const std::string &chainSpec() const { return Spec; }
 
-  /// True when frames decode through per-frame chains (manifest v4,
-  /// built with StoreOptions::CandidateChains and a non-uniform
-  /// outcome); chainSpec() then names the primary chain only.
-  bool perPageChains() const { return !FrameChain.empty(); }
+  /// True when the chain table holds more than the container's chain
+  /// (built with StoreOptions::CandidateChains and a non-uniform
+  /// outcome, or loaded from such a container); chainSpec() then names
+  /// the primary chain only.
+  bool perPageChains() const { return ChainSpecs.size() > 1; }
   /// The chain spec that decodes frame \p Id (== chainSpec() unless
   /// perPageChains()).
   const std::string &frameChainSpec(uint32_t Id) const {
-    return FrameChain.empty() ? Spec : ChainSpecs[FrameChain[Id]];
+    return ChainSpecs[FrameChain[Id]];
   }
 
   /// True when this store serves sub-function pages (built with
@@ -340,8 +341,7 @@ public:
   Result<vm::CodeSpan> faultSpan(uint32_t Fn, uint32_t Idx);
 
   /// Faults \p Id in and marks it pinned (every page of it, when
-  /// paged); pinned entries are never evicted under
-  /// EvictPolicy::PinAwareLRU. Pins are per tenant: two stores pinning
+  /// paged); pinned entries are never evicted. Pins are per tenant: two stores pinning
   /// the same shared frame hold independent references, and unpin
   /// releases only this store's.
   Result<std::shared_ptr<const vm::VMFunction>> pin(uint32_t Id);
@@ -508,11 +508,10 @@ private:
   };
 
   std::string Spec;
-  std::vector<const pipeline::Codec *> Chain;
-  /// Per-frame codec selection (manifest v4). Empty FrameChain means
-  /// every frame decodes through Chain (v1-v3 containers and uniform
-  /// builds). Otherwise ChainSpecs/Chains is the candidate table with
-  /// entry 0 == Spec/Chain, and FrameChain[Id] indexes it per frame.
+  /// The chain table: entry 0 is the container's chain (Spec), any
+  /// further entries are per-frame selection candidates, and
+  /// FrameChain[Id] names the entry that decodes frame Id (all zero
+  /// unless perPageChains()).
   std::vector<std::string> ChainSpecs;
   std::vector<std::vector<const pipeline::Codec *>> Chains;
   std::vector<uint32_t> FrameChain;

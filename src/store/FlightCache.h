@@ -22,15 +22,13 @@
 ///     the rest block on a shared_future and observe the same outcome
 ///     (including a typed error);
 ///   - pin-aware eviction: eviction walks from the cold end, never
-///     evicts the entry inserted by the fault in progress, and (when
-///     pins are honored) skips pinned entries; a budget of one byte
-///     still serves;
+///     evicts the entry inserted by the fault in progress, and skips
+///     pinned entries; a budget of one byte still serves;
 ///   - generation-tagged pins: every insert stamps a fresh generation,
 ///     and pins are counted per entry generation so two *tenants*
-///     pinning the same entry hold independent references — an unpin
-///     with a stale generation (the pinned entry was evicted under the
-///     plain-LRU policy and re-inserted) is a no-op instead of
-///     releasing someone else's pin;
+///     pinning the same entry hold independent references, and
+///     re-pinning an entry through the generation a caller already
+///     holds is not double-counted;
 ///   - an optional admission gate, consulted only at the moment a
 ///     caller would become the compute leader. Callers that find the
 ///     value resident or an in-flight compute are served regardless —
@@ -98,12 +96,8 @@ public:
     uint64_t PinGen = 0;    ///< Entry generation a requested pin holds.
   };
 
-  /// \p HonorPins false records pins (for the gauges) but lets eviction
-  /// take pinned entries anyway — the CodeStore's plain-LRU policy.
-  FlightCache(size_t BudgetBytes, unsigned NumShards, bool HonorPins,
-              CostFn Cost)
-      : HonorPins(HonorPins), Cost(std::move(Cost)),
-        Shards(std::max(1u, NumShards)) {
+  FlightCache(size_t BudgetBytes, unsigned NumShards, CostFn Cost)
+      : Cost(std::move(Cost)), Shards(std::max(1u, NumShards)) {
     // Split the budget so the shard budgets sum to exactly the
     // configured bytes: budget/N each, remainder spread one byte per
     // shard. (A plain budget/N truncates — a 7-byte budget over 4
@@ -197,9 +191,9 @@ public:
     }
   }
 
-  /// Releases one pin taken at generation \p HeldGen. A stale
-  /// generation (the entry was evicted and re-created since) is a
-  /// no-op: the pin it names no longer exists.
+  /// Releases one pin taken at generation \p HeldGen. A generation the
+  /// entry does not carry (it was unpinned, evicted and re-created
+  /// since) is a no-op: the pin it names no longer exists.
   void unpin(const Key &K, uint64_t HeldGen) {
     Shard &Sh = shardOf(K);
     std::lock_guard<std::mutex> L(Sh.Mu);
@@ -282,16 +276,14 @@ private:
 
   /// Evicts from the cold end until under budget. The entry faulted in
   /// most recently (\p Keep) is never a victim, so a budget smaller
-  /// than one entry still serves; pinned entries are skipped when pins
-  /// are honored, and a pinned victim under the plain policy releases
-  /// its pins with it (the gauge drops accordingly).
+  /// than one entry still serves; pinned entries are skipped.
   void evictOver(Shard &Sh, const Key &Keep) {
     while (Sh.C.ResidentBytes > Sh.Budget && Sh.Map.size() > 1) {
       auto VictimIt = Sh.Lru.end();
       for (auto R = Sh.Lru.rbegin(); R != Sh.Lru.rend(); ++R) {
         if (*R == Keep)
           continue;
-        if (HonorPins && Sh.Map.find(*R)->second.PinCount > 0)
+        if (Sh.Map.find(*R)->second.PinCount > 0)
           continue;
         VictimIt = std::prev(R.base());
         break;
@@ -301,15 +293,12 @@ private:
       auto MIt = Sh.Map.find(*VictimIt);
       Sh.C.ResidentBytes -= MIt->second.Cost;
       --Sh.C.ResidentEntries;
-      if (MIt->second.PinCount > 0)
-        --Sh.C.PinnedEntries; // Only reachable under the plain policy.
       Sh.Map.erase(MIt);
       Sh.Lru.erase(VictimIt);
       ++Sh.C.Evictions;
     }
   }
 
-  bool HonorPins;
   CostFn Cost;
   std::vector<Shard> Shards;
 };

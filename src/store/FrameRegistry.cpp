@@ -38,7 +38,6 @@ ModuleHeat::ModuleHeat(ModuleIdent Ident) : Id(std::move(Ident)) {
 
 FrameRegistry::FrameRegistry(RegistryOptions O)
     : Opts(O), C(O.CacheBudgetBytes, std::max(1u, O.Shards),
-                 O.Policy == EvictPolicy::PinAwareLRU,
                  [](const Body &B) { return decodedCostBytes(*B); }) {}
 
 Result<std::shared_ptr<ModuleHeat>>

@@ -9,7 +9,7 @@
 /// content-addressed registry of decoded frames keyed by
 /// (container hash, frame id). N CodeStore views serving the *same*
 /// module (same container hash, computed from the CCPK bytes at
-/// build/load time and carried in manifest v3) share one decode, one
+/// build/load time and carried in the manifest) share one decode, one
 /// resident copy, and one global byte budget; tenants of *different*
 /// modules can share the budget but never each other's frames — their
 /// hashes differ, so their keys cannot collide.
@@ -69,25 +69,17 @@ struct VMFunction;
 
 namespace store {
 
-/// Cache replacement policies (shared by StoreOptions and
-/// RegistryOptions).
-enum class EvictPolicy : uint8_t {
-  LRU,         ///< Strict LRU; pin marks are recorded but not honored.
-  PinAwareLRU, ///< LRU that skips pinned entries (the default).
-};
-
 /// Registry construction knobs. These govern the *process-wide* cache;
 /// a CodeStore joining a shared registry brings its own FrameSource and
-/// RetryPolicy but inherits the registry's budget, sharding, and
-/// eviction policy.
+/// RetryPolicy but inherits the registry's budget and sharding.
 struct RegistryOptions {
   /// Total decoded-bytes budget across every tenant and module, split
   /// over shards with the remainder distributed (the shard budgets
   /// always sum to this value). A target, not a hard cap: the entry
-  /// faulted in most recently is never evicted.
+  /// faulted in most recently is never evicted, and neither is a pinned
+  /// one.
   size_t CacheBudgetBytes = 1u << 20;
   unsigned Shards = 8; ///< Clamped to >= 1.
-  EvictPolicy Policy = EvictPolicy::PinAwareLRU;
 };
 
 /// Registry-global counters and gauges. Decode counters are

@@ -29,22 +29,18 @@ bool StoreBackedResolver::resolveSpan(uint32_t Fn, uint32_t Idx,
     return false;
   }
   Out = R.take();
+  if (Prefetch)
+    Store.prefetchPredicted(Fn, Idx, *Prefetch);
   return true;
 }
 
-vm::RunResult store::runFromStore(CodeStore &S, vm::RunOptions Opts) {
-  StoreBackedResolver Rv(S);
-  Opts.Resolver = &Rv;
-  vm::Machine M(S.skeleton(), Opts);
-  return M.run();
-}
-
-vm::RunResult store::runFromStorePrefetching(CodeStore &S, ThreadPool &Pool,
-                                             vm::RunOptions Opts) {
-  PrefetchingResolver Rv(S, Pool);
+vm::RunResult store::runFromStore(CodeStore &S, vm::RunOptions Opts,
+                                  ThreadPool *Prefetch) {
+  StoreBackedResolver Rv(S, Prefetch);
   Opts.Resolver = &Rv;
   vm::Machine M(S.skeleton(), Opts);
   vm::RunResult R = M.run();
-  Pool.wait(); // Outstanding warms reference the store; drain them here.
+  if (Prefetch)
+    Prefetch->wait(); // Outstanding warms reference the store.
   return R;
 }

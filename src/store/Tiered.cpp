@@ -24,7 +24,7 @@ uint64_t nowNanos() {
 
 TieredResolver::TieredResolver(CodeStore &S, TierOptions Opts)
     : StoreBackedResolver(S), TO(Opts),
-      Units(Opts.CompiledBudgetBytes, /*NumShards=*/1, /*HonorPins=*/true,
+      Units(Opts.CompiledBudgetBytes, /*NumShards=*/1,
             [](const UnitPtr &U) { return U->codeBytes(); }) {}
 
 TieredResolver::~TieredResolver() = default;
@@ -33,7 +33,7 @@ bool TieredResolver::enterNative(vm::Machine &M, uint32_t &Fn, uint32_t &Idx,
                                  uint64_t &Steps) {
   // Page tracking (RunOptions::Layout) records per-instruction code
   // touches the native tier cannot observe; those runs interpret.
-  if (!TO.Enabled || M.options().Layout)
+  if (M.options().Layout)
     return false;
   native::TierRunStats TS;
   if (!native::runTiered(M, *this, Fn, Idx, Steps, &TS))

@@ -49,7 +49,6 @@ namespace store {
 
 /// Tiering knobs.
 struct TierOptions {
-  bool Enabled = true;
   /// Compile a function once its demand heat (page faults + hits) is at
   /// least this. 0 compiles at first entry.
   uint64_t HotThreshold = 8;
@@ -89,9 +88,10 @@ public:
   explicit TieredResolver(CodeStore &S, TierOptions TO = TierOptions());
   ~TieredResolver() override;
 
-  /// The tier gate. Declines (interprets) when tiering is disabled or
-  /// the run needs interpreter-only instrumentation (page tracking via
-  /// RunOptions::Layout); otherwise compiles-on-hot and executes.
+  /// The tier gate. Declines (interprets) when the run needs
+  /// interpreter-only instrumentation (page tracking via
+  /// RunOptions::Layout); otherwise compiles-on-hot and executes. A
+  /// caller that wants no tier at all uses StoreBackedResolver.
   bool enterNative(vm::Machine &M, uint32_t &Fn, uint32_t &Idx,
                    uint64_t &Steps) override;
 
@@ -127,7 +127,7 @@ private:
 
   TierOptions TO;
   /// The compiled-unit cache: one shard (compiles are rare and long;
-  /// shard fan-out buys nothing), pins always honored.
+  /// shard fan-out buys nothing).
   Cache Units;
 
   // Monotonic counters, accumulated relaxed (see TierStats).

@@ -136,6 +136,15 @@ public:
     }
   }
 
+  /// readVarU for a 32-bit field: a value above UINT32_MAX is corrupt
+  /// input, never silently truncated.
+  uint32_t readVarU32() {
+    uint64_t V = readVarU();
+    if (V > UINT32_MAX)
+      decodeFail("ByteReader: varint exceeds 32 bits");
+    return static_cast<uint32_t>(V);
+  }
+
   int64_t readVarS() {
     uint64_t Z = readVarU();
     return static_cast<int64_t>((Z >> 1) ^ (~(Z & 1) + 1));

@@ -35,6 +35,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iterator>
 
 using namespace ccomp;
 using namespace ccomp::test;
@@ -311,7 +312,7 @@ TEST(FaultInjection, StoreFileSurvivesCorruptionOnDisk) {
   sweep(Img, 5100, OpenCorrupt, "store tryOpenFile");
 }
 
-// Paged containers (manifest version 2): the per-function page table is
+// Paged containers (manifest flag bit 0): the per-function page table is
 // attacker-controlled input too. Seeded corruption of the whole image
 // must stay recoverable through load, whole-function assembly, and
 // page-granular spans.
@@ -351,27 +352,82 @@ TEST(FaultInjection, PagedStoreContainerSurvivesCorruption) {
 
 namespace {
 
-/// Packs a crafted version-2 (paged) store manifest plus \p NumFrames
-/// junk frames into a flate container, for targeted page-table attacks.
-/// \p BodyTag is 1 for fixed-code chains (flate), 0 for function images.
+/// Writes the fixed head of a paged store manifest: magic, version 3,
+/// the paged flag, a zero content-hash claim (a private in-memory load
+/// re-hashes the frames itself) and \p BodyTag — 1 for fixed-code chains
+/// (flate), 0 for function images.
+void writePagedManifestHead(ByteWriter &W, uint8_t BodyTag) {
+  W.writeU32(0x4D534343); // CCSM
+  W.writeU8(3);           // manifest version
+  W.writeU8(1);           // flags: paged
+  W.writeU64(0);          // content-hash claim
+  W.writeU8(BodyTag);
+}
+
+/// Packs \p Manifest plus \p NumFrames junk frames into a \p Chain
+/// container.
+std::vector<uint8_t> packWithJunkFrames(std::vector<uint8_t> Manifest,
+                                        size_t NumFrames,
+                                        const std::string &Chain) {
+  std::vector<std::vector<uint8_t>> Frames;
+  Frames.push_back(std::move(Manifest));
+  for (size_t I = 0; I != NumFrames; ++I)
+    Frames.push_back({1, 2, 3}); // Junk every codec rejects.
+  return pipeline::packContainer(Chain, Frames);
+}
+
+/// Packs a crafted paged store manifest with an empty skeleton plus \p
+/// NumFrames junk frames, for targeted page-table attacks.
 std::vector<uint8_t>
 craftedPagedImage(const std::function<void(ByteWriter &)> &WriteFuncs,
                   size_t NumFrames, const std::string &Chain = "flate",
                   uint8_t BodyTag = 1) {
   ByteWriter W;
-  W.writeU32(0x4D534343); // CCSM
-  W.writeU8(2);           // paged manifest version
-  W.writeU8(BodyTag);
+  writePagedManifestHead(W, BodyTag);
   W.writeVarU(0); // Entry
   W.writeVarU(0); // GlobalBase
   W.writeVarU(0); // GlobalEnd
   W.writeVarU(0); // no globals
   WriteFuncs(W);
-  std::vector<std::vector<uint8_t>> Frames;
-  Frames.push_back(W.take());
-  for (size_t I = 0; I != NumFrames; ++I)
-    Frames.push_back({1, 2, 3}); // Junk every codec rejects.
-  return pipeline::packContainer(Chain, Frames);
+  return packWithJunkFrames(W.take(), NumFrames, Chain);
+}
+
+/// The 32-bit manifest fields, in the order a paged function-image
+/// manifest stores them.
+const char *const WideFieldNames[] = {
+    "entry",      "global base", "global end",  "global addr",
+    "global size", "frame size", "code length", "function label",
+    "page instruction count",    "page label"};
+
+/// A valid one-global, one-function, one-page brisc manifest whose
+/// field number \p Wide (an index into WideFieldNames; -1 for none)
+/// carries its value plus 2^32 — the value a loader that truncates
+/// 64-bit varints to 32 bits would read back unchanged.
+std::vector<uint8_t> craftedWideFieldImage(int Wide) {
+  constexpr uint64_t Wrap = uint64_t(1) << 32;
+  int Field = 0;
+  ByteWriter W;
+  auto Put = [&](uint64_t V) { W.writeVarU(Field++ == Wide ? V + Wrap : V); };
+  writePagedManifestHead(W, /*BodyTag=*/0);
+  Put(0); // Entry
+  Put(0); // GlobalBase
+  Put(8); // GlobalEnd
+  W.writeVarU(1);
+  W.writeStr("g");
+  Put(0); // Addr
+  Put(4); // Size
+  W.writeVarU(0); // no initializer
+  W.writeVarU(1);
+  W.writeStr("f");
+  Put(0); // FrameSize
+  Put(2); // CodeLen
+  W.writeVarU(1);
+  Put(0); // the function's one label
+  W.writeVarU(1);
+  Put(2); // the page's instruction count
+  W.writeVarU(1);
+  Put(0); // the page's one label
+  return packWithJunkFrames(W.take(), 1, "brisc");
 }
 
 } // namespace
@@ -538,7 +594,27 @@ TEST(FaultInjection, PagedManifestRejectsCraftedAttacks) {
   }
 }
 
-// Manifest v3 carries a content-hash claim at a fixed offset (bytes
+// Every 32-bit manifest field is range-checked: a varint above
+// UINT32_MAX fails the load typed instead of wrapping into a valid-
+// looking value (2^32 + 4 would otherwise read back as 4).
+TEST(FaultInjection, ManifestRejectsWide32BitFields) {
+  Result<std::unique_ptr<store::CodeStore>> Clean =
+      store::CodeStore::tryLoad(craftedWideFieldImage(-1),
+                                store::StoreOptions());
+  ASSERT_TRUE(Clean.ok()) << Clean.error().message();
+  for (int F = 0; F != int(std::size(WideFieldNames)); ++F) {
+    Result<std::unique_ptr<store::CodeStore>> L = store::CodeStore::tryLoad(
+        craftedWideFieldImage(F), store::StoreOptions());
+    if (L.ok()) {
+      ADD_FAILURE() << WideFieldNames[F] << " wrapped to 32 bits";
+      continue;
+    }
+    EXPECT_NE(L.error().message().find("exceeds 32 bits"), std::string::npos)
+        << WideFieldNames[F] << ": " << L.error().message();
+  }
+}
+
+// The manifest carries a content-hash claim at a fixed offset (bytes
 // [6,14) of the manifest frame). A doctored or corrupt claim is exactly
 // the cross-tenant attack the shared FrameRegistry must refuse: keyed
 // into another module's hash it could poison that module's resident
@@ -603,7 +679,7 @@ TEST(FaultInjection, ManifestHashClaimCorruptionIsTypedNeverPoisoning) {
   ASSERT_TRUE(F.ok());
   EXPECT_EQ(F.value()->Code.size(), P.Functions[0].Code.size());
 
-  // An unknown v3 flag bit is a typed parse error, not a guess.
+  // An unknown flag bit is a typed parse error, not a guess.
   {
     std::vector<std::vector<uint8_t>> Frames = Box.Frames;
     Frames[0][5] |= 0x80;
@@ -617,7 +693,7 @@ TEST(FaultInjection, ManifestHashClaimCorruptionIsTypedNeverPoisoning) {
 }
 
 // Seeded corruption sweep against a *shared* registry: whatever the
-// corruption does to a v3 container — truncation, bit flips, garbage
+// corruption does to a container — truncation, bit flips, garbage
 // runs — the outcome is load-and-serve or a typed error, and the good
 // tenant that shares the registry keeps executing correctly the whole
 // time. Run under the asan preset to have the allocator checked.

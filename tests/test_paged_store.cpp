@@ -179,7 +179,7 @@ TEST(PagedStore, SaveLoadRoundTripKeepsPageGranularity) {
   ASSERT_NE(S, nullptr);
   std::vector<uint8_t> Image = S->save();
 
-  // Loading infers page granularity from the manifest version: the
+  // Loading infers page granularity from the manifest flags: the
   // options carry no page target.
   Result<std::unique_ptr<CodeStore>> Back =
       CodeStore::tryLoad(Image, StoreOptions());

@@ -6,13 +6,13 @@
 //
 // The per-page selection promises: a store built with candidate chains
 // never produces more compressed bytes than any of its chains used
-// globally; the selection is deterministic (budget 0); a non-uniform
-// outcome round-trips through a manifest v4 image that executes
-// byte-identically to eager; a uniform outcome (duplicate candidates,
-// or a decode budget that rejects every alternative) normalizes to a
-// container bit-identical to a plain single-chain build; crafted v4
-// manifests fail typed; and concurrent faults through mixed per-frame
-// chains decode correctly under the thread sanitizer.
+// globally; the selection is deterministic; a non-uniform outcome
+// round-trips through an image whose manifest carries the per-frame
+// chain table and executes byte-identically to eager; a uniform outcome
+// (duplicate candidates) normalizes to a container bit-identical to a
+// plain single-chain build; crafted chain tables fail typed; and
+// concurrent faults through mixed per-frame chains decode correctly
+// under the thread sanitizer.
 //
 //===----------------------------------------------------------------------===//
 
@@ -56,12 +56,17 @@ StoreOptions perPageOpts(size_t PageTarget) {
   return Opts;
 }
 
-/// The version byte of a container's store manifest (frame 0).
-uint8_t manifestVersion(const std::vector<uint8_t> &Image) {
+/// Manifest flags bit 1: the manifest carries a per-frame chain table.
+constexpr uint8_t ChainTableFlag = 2;
+
+/// The flags byte of a container's store manifest (frame 0), after
+/// checking the version byte before it names the one manifest layout.
+uint8_t manifestFlags(const std::vector<uint8_t> &Image) {
   Result<pipeline::Container> C = pipeline::tryUnpackContainer(Image);
   EXPECT_TRUE(C.ok());
-  EXPECT_GE(C.value().Frames[0].size(), size_t(5));
-  return C.value().Frames[0][4];
+  EXPECT_GE(C.value().Frames[0].size(), size_t(6));
+  EXPECT_EQ(C.value().Frames[0][4], 3);
+  return C.value().Frames[0][5];
 }
 
 /// Repacks \p Image with its manifest replaced by \p Manifest.
@@ -124,12 +129,12 @@ TEST(PerPageStore, SelectionIsDeterministic) {
   Parallel.BuildJobs = 4;
   std::unique_ptr<CodeStore> B = mustBuildStore(P, Primary, Parallel);
   ASSERT_NE(B, nullptr);
-  // Budget 0 makes the selection a pure size comparison, so serial and
-  // 4-job builds must produce bit-identical containers.
+  // The selection is a pure size comparison, so serial and 4-job builds
+  // must produce bit-identical containers.
   EXPECT_EQ(A->save(), B->save());
 }
 
-TEST(PerPageStore, NonUniformSelectionRoundTripsAsManifestV4) {
+TEST(PerPageStore, NonUniformSelectionRoundTripsWithChainTable) {
   vm::VMProgram P = buildVM(syntheticSource(10));
   vm::RunResult Eager = vm::runProgram(P);
   ASSERT_TRUE(Eager.Ok) << Eager.Trap;
@@ -142,7 +147,7 @@ TEST(PerPageStore, NonUniformSelectionRoundTripsAsManifestV4) {
   EXPECT_EQ(Sel->chainSpec(), Primary);
 
   std::vector<uint8_t> Image = Sel->save();
-  EXPECT_EQ(manifestVersion(Image), 4);
+  EXPECT_TRUE(manifestFlags(Image) & ChainTableFlag);
 
   Result<std::unique_ptr<CodeStore>> L =
       CodeStore::tryLoad(Image, StoreOptions());
@@ -164,14 +169,15 @@ TEST(PerPageStore, NonUniformSelectionRoundTripsAsManifestV4) {
   EXPECT_EQ(R.Steps, Eager.Steps);
 }
 
-TEST(PerPageStore, UniformOutcomesNormalizeToV3) {
+TEST(PerPageStore, UniformOutcomesWriteNoChainTable) {
   vm::VMProgram P = buildVM(syntheticSource(8));
   StoreOptions Plain;
   Plain.PageTargetBytes = 64;
   std::unique_ptr<CodeStore> Base = mustBuildStore(P, Primary, Plain);
   ASSERT_NE(Base, nullptr);
+  EXPECT_FALSE(Base->perPageChains());
   std::vector<uint8_t> BaseImage = Base->save();
-  EXPECT_EQ(manifestVersion(BaseImage), 3);
+  EXPECT_FALSE(manifestFlags(BaseImage) & ChainTableFlag);
 
   // Candidates that duplicate the primary collapse to a single chain.
   StoreOptions Dup = Plain;
@@ -180,15 +186,21 @@ TEST(PerPageStore, UniformOutcomesNormalizeToV3) {
   ASSERT_NE(D, nullptr);
   EXPECT_FALSE(D->perPageChains());
   EXPECT_EQ(D->save(), BaseImage);
+  for (uint32_t I = 0; I != D->frameCount(); ++I)
+    EXPECT_EQ(D->frameChainSpec(I), Primary) << "frame " << I;
 
-  // A decode budget no chain can meet rejects every candidate, so each
-  // frame falls back to the primary — uniform, normalized, identical.
-  StoreOptions Starved = perPageOpts(64);
-  Starved.FrameDecodeBudgetNanos = 1;
-  std::unique_ptr<CodeStore> S = mustBuildStore(P, Primary, Starved);
-  ASSERT_NE(S, nullptr);
-  EXPECT_FALSE(S->perPageChains());
-  EXPECT_EQ(S->save(), BaseImage);
+  // A candidate that never beats the primary (flate over flate output
+  // only adds framing): the selection runs, every frame picks chain 0,
+  // and the result normalizes to the plain image.
+  std::unique_ptr<CodeStore> FlateBase =
+      mustBuildStore(P, "vm-compact+flate", Plain);
+  ASSERT_NE(FlateBase, nullptr);
+  StoreOptions Losing = Plain;
+  Losing.CandidateChains = {"vm-compact+flate+flate"};
+  std::unique_ptr<CodeStore> L = mustBuildStore(P, "vm-compact+flate", Losing);
+  ASSERT_NE(L, nullptr);
+  EXPECT_FALSE(L->perPageChains());
+  EXPECT_EQ(L->save(), FlateBase->save());
 }
 
 TEST(PerPageStore, RejectsCandidateOfDifferentBodyKind) {
@@ -205,7 +217,7 @@ TEST(PerPageStore, RejectsCandidateOfDifferentBodyKind) {
   EXPECT_EQ(S, nullptr);
 }
 
-TEST(PerPageStore, CraftedV4ManifestsFailTyped) {
+TEST(PerPageStore, CraftedChainTablesFailTyped) {
   vm::VMProgram P = buildVM(syntheticSource(10));
   std::unique_ptr<CodeStore> Sel = mustBuildStore(P, Primary, perPageOpts(64));
   ASSERT_NE(Sel, nullptr);
@@ -214,13 +226,15 @@ TEST(PerPageStore, CraftedV4ManifestsFailTyped) {
   Result<pipeline::Container> C = pipeline::tryUnpackContainer(Image);
   ASSERT_TRUE(C.ok());
   const std::vector<uint8_t> &M = C.value().Frames[0];
-  // v4 layout: magic(4) version(1) flags(1) hash(8) bodyTag(1), then
-  // varU NumChains at 15, then the chain-spec strings.
-  ASSERT_EQ(M[4], 4);
+  // Layout: magic(4) version(1) flags(1) hash(8) bodyTag(1), then, with
+  // the chain-table flag, varU NumChains at 15 and the chain-spec
+  // strings.
+  ASSERT_EQ(M[4], 3);
+  ASSERT_TRUE(M[5] & ChainTableFlag);
   const size_t ChainCountOff = 15;
   ASSERT_LT(M[ChainCountOff], 128) << "chain count varU is one byte";
 
-  { // Chain count below the v4 minimum.
+  { // Chain count below the table minimum.
     std::vector<uint8_t> X = M;
     X[ChainCountOff] = 1;
     expectLoadFails(withManifest(Image, X), "chain count out of range");
@@ -248,6 +262,28 @@ TEST(PerPageStore, CraftedV4ManifestsFailTyped) {
     std::vector<uint8_t> X = M;
     X.back() = 63;
     expectLoadFails(withManifest(Image, X), "chain index out of range");
+  }
+  { // The flag cleared: the table bytes no longer parse as a manifest.
+    std::vector<uint8_t> X = M;
+    X[5] &= static_cast<uint8_t>(~ChainTableFlag);
+    EXPECT_FALSE(
+        CodeStore::tryLoad(withManifest(Image, X), StoreOptions()).ok());
+  }
+  { // The flag set on a uniform image: no table where one is promised.
+    std::unique_ptr<CodeStore> Plain =
+        mustBuildStore(P, Primary, [] {
+          StoreOptions O;
+          O.PageTargetBytes = 64;
+          return O;
+        }());
+    ASSERT_NE(Plain, nullptr);
+    std::vector<uint8_t> PlainImage = Plain->save();
+    Result<pipeline::Container> PC = pipeline::tryUnpackContainer(PlainImage);
+    ASSERT_TRUE(PC.ok());
+    std::vector<uint8_t> X = PC.value().Frames[0];
+    X[5] |= ChainTableFlag;
+    EXPECT_FALSE(
+        CodeStore::tryLoad(withManifest(PlainImage, X), StoreOptions()).ok());
   }
 }
 

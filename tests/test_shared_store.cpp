@@ -10,7 +10,8 @@
 // granularity, and budget; tenants of different modules never share
 // frames; pins and stats stay per tenant; and a doctored content-hash
 // claim is refused at the shared-registry door while private loads
-// stay permissive (frame corruption surfaces at fault, as ever).
+// stay permissive (frame corruption surfaces at fault, as ever); and
+// retired manifest layouts are refused typed everywhere.
 //
 //===----------------------------------------------------------------------===//
 
@@ -91,7 +92,7 @@ const char *const PerFunctionChains[] = {"flate", "vm-compact", "brisc",
                                          "brisc+flate", "vm-compact+flate"};
 
 /// Returns \p Image with byte range [6, 14) of its *manifest frame*
-/// (the fixed offset of the v3 content-hash claim) XORed, then
+/// (the fixed offset of the content-hash claim) XORed, then
 /// repacked. Only the claim changes; the function frames — and thus
 /// the recomputable content hash — stay intact.
 std::vector<uint8_t> doctorHashClaim(const std::vector<uint8_t> &Image) {
@@ -104,23 +105,22 @@ std::vector<uint8_t> doctorHashClaim(const std::vector<uint8_t> &Image) {
   return pipeline::packContainer(Box.ChainSpec, Box.Frames);
 }
 
-/// Rewrites \p Image's v3 manifest to the legacy v1/v2 layout (drops
-/// the flags byte and the hash claim), as a container written by an
-/// older build would look.
-std::vector<uint8_t> downgradeManifest(const std::vector<uint8_t> &Image) {
+/// Returns \p Image with manifest byte \p Offset replaced by \p Value
+/// (offset 4 is the version byte, 5 the flags byte), then repacked.
+std::vector<uint8_t> patchManifestByte(const std::vector<uint8_t> &Image,
+                                       size_t Offset, uint8_t Value) {
   Result<pipeline::Container> C = pipeline::tryUnpackContainer(Image);
   EXPECT_TRUE(C.ok());
   pipeline::Container Box = C.take();
-  std::vector<uint8_t> &M = Box.Frames[0];
-  EXPECT_GE(M.size(), 15u);
-  // v3: magic u32 | version u8 | flags u8 | hash u64 | body...
-  // v2: magic u32 | version u8 |                       body...
-  bool Paged = (M[5] & 1) != 0;
-  std::vector<uint8_t> Legacy(M.begin(), M.begin() + 4);
-  Legacy.push_back(Paged ? 2 : 1);
-  Legacy.insert(Legacy.end(), M.begin() + 14, M.end());
-  M = std::move(Legacy);
+  EXPECT_GT(Box.Frames[0].size(), Offset);
+  Box.Frames[0][Offset] = Value;
   return pipeline::packContainer(Box.ChainSpec, Box.Frames);
+}
+
+void writeFile(const std::string &Path, const std::vector<uint8_t> &Bytes) {
+  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+  Out.write(reinterpret_cast<const char *>(Bytes.data()),
+            static_cast<std::streamsize>(Bytes.size()));
 }
 
 vm::RunResult mustRun(CodeStore &S) {
@@ -328,7 +328,7 @@ TEST(SharedStore, HashCollisionWithDifferentShapeRefused) {
 // Trust: the manifest's hash claim
 //===----------------------------------------------------------------------===//
 
-// A doctored v3 hash claim must not key into a shared registry (where
+// A doctored hash claim must not key into a shared registry (where
 // it could alias another module), but a private store still loads and
 // runs — its registry serves only itself, and the frames are intact.
 TEST(SharedStore, DoctoredHashClaimRefusedSharedAcceptedPrivate) {
@@ -351,52 +351,71 @@ TEST(SharedStore, DoctoredHashClaimRefusedSharedAcceptedPrivate) {
   EXPECT_EQ(Run.ExitCode, vm::runProgram(P).ExitCode);
 }
 
-// Legacy (pre-hash) containers on a source that cannot be re-hashed —
-// an on-demand file — carry no trustworthy identity, so they are
-// refused shared registration and accepted privately.
-TEST(SharedStore, LegacyFileContainerRefusedSharedAcceptedPrivate) {
+// The loader accepts one manifest layout. Retired version bytes (1 and
+// 2 carried no hash claim; 4 was the per-frame chain table, now a flag
+// bit) and versions never written fail typed, as do unknown flag bits —
+// from memory and from a file, privately and at a shared registry's
+// door, whole-function and paged. The asan preset checks the parse.
+TEST(SharedStore, RetiredManifestLayoutsRefusedTyped) {
+  vm::VMProgram P = buildVM(syntheticSource(4));
+  const std::string Path = testing::TempDir() + "ccomp_retired_store.ccpk";
+  for (size_t PageTarget : {size_t(0), size_t(64)}) {
+    StoreOptions BuildOpts;
+    BuildOpts.PageTargetBytes = PageTarget;
+    std::unique_ptr<CodeStore> Built =
+        mustBuildStore(P, "brisc+flate", BuildOpts);
+    ASSERT_NE(Built, nullptr);
+    std::vector<uint8_t> Image = Built->save();
+
+    std::vector<std::pair<std::vector<uint8_t>, std::string>> Bad;
+    for (uint8_t Version : {1, 2, 4, 5})
+      Bad.push_back({patchManifestByte(Image, 4, Version),
+                     "unsupported manifest version"});
+    for (uint8_t Flags : {0x04, 0x80})
+      Bad.push_back({patchManifestByte(Image, 5, Flags),
+                     "unknown manifest flags"});
+
+    for (const auto &[Bytes, Needle] : Bad) {
+      writeFile(Path, Bytes);
+      StoreOptions Shared;
+      Shared.SharedRegistry = std::make_shared<FrameRegistry>();
+      for (const StoreOptions &Opts : {StoreOptions(), Shared}) {
+        Result<std::unique_ptr<CodeStore>> Mem =
+            CodeStore::tryLoad(Bytes, Opts);
+        ASSERT_FALSE(Mem.ok()) << Needle;
+        EXPECT_NE(Mem.error().message().find(Needle), std::string::npos)
+            << Mem.error().message();
+        Result<std::unique_ptr<CodeStore>> File =
+            CodeStore::tryOpenFile(Path, Opts);
+        ASSERT_FALSE(File.ok()) << Needle;
+        EXPECT_NE(File.error().message().find(Needle), std::string::npos)
+            << File.error().message();
+      }
+      EXPECT_EQ(Shared.SharedRegistry->stats().Modules, 0u);
+    }
+  }
+}
+
+// A file source cannot re-hash its frames, so a container opened from
+// a file trusts its manifest claim and lands on the same identity as
+// the in-memory build, private or shared.
+TEST(SharedStore, FileContainerJoinsOnItsClaim) {
   vm::VMProgram P = buildVM(syntheticSource(4));
   std::unique_ptr<CodeStore> Built =
       mustBuildStore(P, "brisc+flate", StoreOptions());
   ASSERT_NE(Built, nullptr);
-  std::vector<uint8_t> Legacy = downgradeManifest(Built->save());
-
-  const std::string Path = testing::TempDir() + "ccomp_legacy_store.ccpk";
-  {
-    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-    Out.write(reinterpret_cast<const char *>(Legacy.data()),
-              static_cast<std::streamsize>(Legacy.size()));
-  }
+  const std::string Path = testing::TempDir() + "ccomp_v3_store.ccpk";
+  writeFile(Path, Built->save());
 
   StoreOptions Shared;
   Shared.SharedRegistry = std::make_shared<FrameRegistry>();
-  Result<std::unique_ptr<CodeStore>> R = CodeStore::tryOpenFile(Path, Shared);
-  ASSERT_FALSE(R.ok());
-  EXPECT_NE(R.error().message().find("shared"), std::string::npos);
-
-  Result<std::unique_ptr<CodeStore>> Priv =
-      CodeStore::tryOpenFile(Path, StoreOptions());
-  ASSERT_TRUE(Priv.ok()) << Priv.error().message();
-  EXPECT_TRUE(mustRun(*Priv.value()).Ok);
-
-  // The same legacy bytes *in memory* can be re-hashed, so they may
-  // join a shared registry under their computed identity.
-  Result<std::unique_ptr<CodeStore>> Mem = CodeStore::tryLoad(Legacy, Shared);
-  ASSERT_TRUE(Mem.ok()) << Mem.error().message();
-
-  // And a v3 container loaded from a file joins on its (trusted) claim,
-  // landing on the same identity as the in-memory load.
-  std::vector<uint8_t> V3 = Built->save();
-  const std::string V3Path = testing::TempDir() + "ccomp_v3_store.ccpk";
-  {
-    std::ofstream Out(V3Path, std::ios::binary | std::ios::trunc);
-    Out.write(reinterpret_cast<const char *>(V3.data()),
-              static_cast<std::streamsize>(V3.size()));
+  for (const StoreOptions &Opts : {StoreOptions(), Shared}) {
+    Result<std::unique_ptr<CodeStore>> FromFile =
+        CodeStore::tryOpenFile(Path, Opts);
+    ASSERT_TRUE(FromFile.ok()) << FromFile.error().message();
+    EXPECT_EQ(FromFile.value()->containerHash(), Built->containerHash());
+    EXPECT_TRUE(mustRun(*FromFile.value()).Ok);
   }
-  Result<std::unique_ptr<CodeStore>> FromFile =
-      CodeStore::tryOpenFile(V3Path, StoreOptions());
-  ASSERT_TRUE(FromFile.ok()) << FromFile.error().message();
-  EXPECT_EQ(FromFile.value()->containerHash(), Built->containerHash());
 }
 
 //===----------------------------------------------------------------------===//

@@ -199,6 +199,18 @@ TEST(ByteIO, MalformedVarIntRejected) {
   EXPECT_THROW(R2.readVarU(), DecodeError);
 }
 
+TEST(ByteIO, VarU32RejectsWideValues) {
+  ByteWriter W;
+  W.writeVarU(UINT32_MAX);
+  W.writeVarU(uint64_t(UINT32_MAX) + 1);
+  W.writeVarU((uint64_t(1) << 32) + 4);
+  std::vector<uint8_t> Buf = W.take();
+  ByteReader R(Buf);
+  EXPECT_EQ(R.readVarU32(), UINT32_MAX);
+  EXPECT_THROW(R.readVarU32(), DecodeError);
+  EXPECT_THROW(R.readVarU32(), DecodeError);
+}
+
 TEST(BitStream, ReadPastEndThrowsDecodeError) {
   BitWriter W;
   W.writeBits(0x5, 3);

@@ -21,6 +21,7 @@
 #include "store/CodeStore.h"
 #include "store/Resolver.h"
 #include "store/Tiered.h"
+#include "vm/Encode.h"
 
 #include "gtest/gtest.h"
 
@@ -248,21 +249,25 @@ TEST(Tiered, ResetTierStatsPreservesGauges) {
   EXPECT_EQ(After.ResidentBytes, Before.ResidentBytes);
 }
 
-// Disabled tiering falls back to pure interpretation through the same
-// resolver object.
-TEST(Tiered, DisabledTierInterprets) {
+// A page-tracking run needs per-instruction touches the native tier
+// cannot observe, so the tier gate declines it and the same resolver
+// interprets — even at threshold 0, nothing compiles.
+TEST(Tiered, PageTrackingRunInterprets) {
   vm::VMProgram P = buildVM(syntheticSource(6));
-  vm::RunResult Eager = vm::runProgram(P);
+  vm::CodeLayout L = vm::compactLayout(P);
+  vm::RunOptions Opts;
+  Opts.Layout = &L;
+  vm::RunResult Eager = vm::runProgram(P, Opts);
   ASSERT_TRUE(Eager.Ok) << Eager.Trap;
 
   std::unique_ptr<CodeStore> S = mustBuildStore(P, "flate", StoreOptions());
   ASSERT_NE(S, nullptr);
   TierOptions TO;
-  TO.Enabled = false;
   TO.HotThreshold = 0;
   TierStats TS;
-  vm::RunResult R = runTieredFromStore(*S, TO, {}, &TS);
-  expectSameRun(R, Eager, "disabled");
+  vm::RunResult R = runTieredFromStore(*S, TO, Opts, &TS);
+  expectSameRun(R, Eager, "page tracking");
+  EXPECT_EQ(R.PagesTouched, Eager.PagesTouched);
   EXPECT_EQ(TS.Compiles, 0u);
   EXPECT_EQ(TS.NativeEnters, 0u);
 }
