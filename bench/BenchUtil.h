@@ -18,10 +18,7 @@
 
 #include "support/Support.h"
 
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
-#include <string>
 
 namespace ccomp {
 namespace bench {
@@ -34,207 +31,6 @@ using harness::suiteProgram;
 using harness::syntheticSource;
 using harness::timeIt;
 using harness::timeStable;
-
-/// Escapes \p S for splicing into a JSON string literal (quotes,
-/// backslashes, and control bytes). Codec-chain specs and link labels
-/// are free-form text; emitting them raw would break any consumer the
-/// moment a chain name grows a quote.
-inline std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char Raw : S) {
-    unsigned char C = static_cast<unsigned char>(Raw);
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\b':
-      Out += "\\b";
-      break;
-    case '\f':
-      Out += "\\f";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += Raw;
-      }
-    }
-  }
-  return Out;
-}
-
-namespace detail {
-
-/// A minimal recursive-descent JSON checker: enough to lock the
-/// CCOMP-STATS wire format without pulling in a JSON library. Aborts on
-/// the first malformed byte.
-struct MiniJsonChecker {
-  const std::string &S;
-  size_t I = 0;
-
-  explicit MiniJsonChecker(const std::string &Str) : S(Str) {}
-
-  [[noreturn]] void fail(const char *Why) const {
-    reportFatal(std::string("malformed CCOMP-STATS JSON (") + Why +
-                ") at byte " + std::to_string(I) + ": " + S);
-  }
-  void ws() {
-    while (I < S.size() && (S[I] == ' ' || S[I] == '\t'))
-      ++I;
-  }
-  void expect(char C, const char *Why) {
-    if (I >= S.size() || S[I] != C)
-      fail(Why);
-    ++I;
-  }
-  void string() {
-    expect('"', "expected string");
-    while (I < S.size() && S[I] != '"') {
-      unsigned char C = static_cast<unsigned char>(S[I]);
-      if (C < 0x20)
-        fail("unescaped control character");
-      if (C == '\\') {
-        ++I;
-        if (I >= S.size())
-          fail("truncated escape");
-        char E = S[I];
-        if (E == 'u') {
-          for (int K = 0; K != 4; ++K) {
-            ++I;
-            if (I >= S.size() ||
-                !std::isxdigit(static_cast<unsigned char>(S[I])))
-              fail("bad \\u escape");
-          }
-        } else if (E != '"' && E != '\\' && E != '/' && E != 'b' &&
-                   E != 'f' && E != 'n' && E != 'r' && E != 't') {
-          fail("bad escape");
-        }
-      }
-      ++I;
-    }
-    expect('"', "unterminated string");
-  }
-  void number() {
-    size_t Start = I;
-    if (I < S.size() && S[I] == '-')
-      ++I;
-    while (I < S.size() &&
-           (std::isdigit(static_cast<unsigned char>(S[I])) || S[I] == '.' ||
-            S[I] == 'e' || S[I] == 'E' || S[I] == '+' || S[I] == '-'))
-      ++I;
-    if (I == Start)
-      fail("expected value");
-    std::string Num = S.substr(Start, I - Start);
-    char *End = nullptr;
-    (void)std::strtod(Num.c_str(), &End);
-    if (End != Num.c_str() + Num.size())
-      fail("bad number");
-  }
-  void value() {
-    ws();
-    if (I >= S.size())
-      fail("expected value");
-    char C = S[I];
-    if (C == '"')
-      string();
-    else if (C == '{')
-      object();
-    else if (C == '[')
-      array();
-    else if (S.compare(I, 4, "true") == 0)
-      I += 4;
-    else if (S.compare(I, 5, "false") == 0)
-      I += 5;
-    else if (S.compare(I, 4, "null") == 0)
-      I += 4;
-    else
-      number();
-  }
-  void array() {
-    expect('[', "expected array");
-    ws();
-    if (I < S.size() && S[I] == ']') {
-      ++I;
-      return;
-    }
-    for (;;) {
-      value();
-      ws();
-      if (I < S.size() && S[I] == ',') {
-        ++I;
-        continue;
-      }
-      expect(']', "unterminated array");
-      return;
-    }
-  }
-  void object() {
-    expect('{', "expected object");
-    ws();
-    if (I < S.size() && S[I] == '}') {
-      ++I;
-      return;
-    }
-    for (;;) {
-      ws();
-      string();
-      ws();
-      expect(':', "expected ':'");
-      value();
-      ws();
-      if (I < S.size() && S[I] == ',') {
-        ++I;
-        continue;
-      }
-      expect('}', "unterminated object");
-      return;
-    }
-  }
-};
-
-} // namespace detail
-
-/// Verifies one machine-readable stats line: the literal "CCOMP-STATS "
-/// prefix followed by a single well-formed JSON object and nothing else.
-/// Aborts on any violation — every stats line the harness emits goes
-/// through this, so a malformed emitter fails the bench run instead of
-/// silently corrupting downstream parsing.
-inline void checkStatsLine(const std::string &Line) {
-  const char Prefix[] = "CCOMP-STATS ";
-  const size_t PrefixLen = sizeof(Prefix) - 1;
-  if (Line.compare(0, PrefixLen, Prefix) != 0)
-    reportFatal("CCOMP-STATS line missing its prefix: " + Line);
-  detail::MiniJsonChecker P(Line);
-  P.I = PrefixLen;
-  P.ws();
-  P.object();
-  P.ws();
-  if (P.I != Line.size())
-    P.fail("trailing bytes after the object");
-}
-
-/// Validates \p JsonObject and prints the stats line (with newline).
-inline void emitStats(const std::string &JsonObject) {
-  std::string Line = std::string("CCOMP-STATS ") + JsonObject;
-  checkStatsLine(Line);
-  std::printf("%s\n", Line.c_str());
-}
 
 } // namespace bench
 } // namespace ccomp

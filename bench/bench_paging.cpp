@@ -15,15 +15,14 @@
 // find the crossover where interpreting compressed code wins on total
 // time.
 //
-// Eight acts, selectable with --act=N[,N...] (default: all):
+// Three acts, selectable with --act=N[,N...] (default: all):
 //   1  intro paging table (native vs interpreted, LRU simulator)
-//   2  decode-on-fault store vs simulator prediction
-//   3  sub-function page-size sweep
-//   4  hot-loop residency payoff (asserted)
+//   2  decode-on-fault store vs simulator prediction (asserted identity)
 //   5  tiered native execution of the hot set (asserted speedup)
-//   6  multi-tenant shared frame registry vs private stores (asserted)
-//   7  profile-guided page layout vs source order (asserted)
-//   8  per-page codec selection vs best single chain (asserted)
+//
+// Act numbers match the experiment log (EXPERIMENTS.md). The
+// deterministic paging claims (E7, E9, E11, E12) are ctest cases, not
+// acts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,12 +31,10 @@
 #include "brisc/Brisc.h"
 #include "brisc/Interp.h"
 #include "native/Threaded.h"
-#include "pipeline/Payload.h"
 #include "sim/Paging.h"
 #include "store/CodeStore.h"
 #include "store/Resolver.h"
 #include "store/Tiered.h"
-#include "store/Trace.h"
 #include "vm/Encode.h"
 
 #include <set>
@@ -68,7 +65,7 @@ std::set<int> parseActs(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     if (Arg.rfind("--act=", 0) != 0)
-      reportFatal("usage: bench_paging [--act=N[,N...]]  (acts 1-8)");
+      reportFatal("usage: bench_paging [--act=N[,N...]]  (acts 1, 2, 5)");
     std::string List = Arg.substr(6);
     size_t Pos = 0;
     while (Pos < List.size()) {
@@ -79,14 +76,14 @@ std::set<int> parseActs(int Argc, char **Argv) {
                              std::string::npos)
         reportFatal("bench_paging: bad act '" + Tok + "'");
       int N = std::atoi(Tok.c_str());
-      if (N < 1 || N > 8)
-        reportFatal("bench_paging: act out of range: " + Tok);
+      if (N != 1 && N != 2 && N != 5)
+        reportFatal("bench_paging: no act " + Tok + " (acts 1, 2, 5)");
       Acts.insert(N);
       Pos = Comma == std::string::npos ? List.size() : Comma + 1;
     }
   }
   if (Acts.empty())
-    Acts = {1, 2, 3, 4, 5, 6, 7, 8};
+    Acts = {1, 2, 5};
   return Acts;
 }
 
@@ -168,18 +165,6 @@ int main(int Argc, char **Argv) {
                 "form wins (fewer, denser\npages to fault); with ample "
                 "memory and a warm cache native wins (only the\n"
                 "interpretation overhead remains)\n");
-    // The intro act's machine-readable summary; the CI smoke step runs
-    // only this act and fails on a malformed line.
-    char Json[512];
-    std::snprintf(Json, sizeof(Json),
-                  "{\"bench\":\"paging_intro\",\"page_bytes\":%u,"
-                  "\"fault_ms\":%.1f,\"native_cpu_s\":%.4f,"
-                  "\"interp_cpu_s\":%.4f,\"cpu_ratio\":%.2f,"
-                  "\"native_pages\":%llu,\"interp_pages\":%llu}",
-                  PageSize, Disk.FaultSeconds * 1000, NativeCpu, InterpCpu,
-                  InterpCpu / NativeCpu, (unsigned long long)NDistinct,
-                  (unsigned long long)BDistinct);
-    emitStats(Json);
   }
 
   // Second act: the simulator's prediction against the real thing. The
@@ -234,161 +219,13 @@ int main(int Argc, char **Argv) {
         reportFatal("store-backed run diverged: " + R.Trap);
       store::StoreStats St = S->stats();
       sim::TotalTime T =
-          sim::storeTotalTime(Cpu, St.Misses, 0, St.DecodeNanos, Disk);
+          sim::storeTotalTime(Cpu, St.Misses, St.DecodeNanos, Disk);
       std::printf("%8u %12zu | %10llu %10llu | %9.1f%% %10.2f %12.3f\n",
                   Resident, SO.CacheBudgetBytes,
                   (unsigned long long)SimFaults, (unsigned long long)St.Misses,
                   St.hitRate() * 100, double(St.DecodeNanos) / 1e6, T.total());
-      // One machine-readable line per configuration for harness scripts;
-      // emitStats validates the JSON so the format stays locked.
-      char Json[512];
-      std::snprintf(Json, sizeof(Json),
-                    "{\"bench\":\"paging_store\",\"chain\":\"%s\","
-                    "\"resident_funcs\":%u,\"budget_bytes\":%zu,\"faults\":%llu,"
-                    "\"hits\":%llu,\"hit_rate\":%.4f,\"decodes\":%llu,"
-                    "\"evictions\":%llu,\"decode_ms\":%.3f,\"cpu_s\":%.4f,"
-                    "\"est_total_s\":%.4f,\"sim_faults\":%llu}",
-                    jsonEscape(ChainSpec).c_str(), Resident,
-                    SO.CacheBudgetBytes, (unsigned long long)St.Misses,
-                    (unsigned long long)St.Hits, St.hitRate(),
-                    (unsigned long long)St.Decodes,
-                    (unsigned long long)St.Evictions,
-                    double(St.DecodeNanos) / 1e6, Cpu, T.total(),
-                    (unsigned long long)SimFaults);
-      emitStats(Json);
     }
     hr();
-  }
-
-  // Third act: sub-function fault granularity. The same program pages at
-  // several page-size targets under one constrained budget; smaller
-  // pages fault more often but each fault fetches and decodes less, and
-  // the resident set tracks the hot *blocks* instead of whole
-  // functions. The time model charges a seek per fault plus transfer
-  // for the compressed bytes actually fetched.
-  if (runAct(3)) {
-    std::string Err;
-    size_t SweepBudget = DecodedBytes / 8;
-    std::printf("\nPage-size sweep (chain %s, budget %zu B)\n", ChainSpec,
-                SweepBudget);
-    std::printf("%10s | %7s %12s | %10s %10s | %10s %12s\n", "page B",
-                "frames", "frame B", "miss", "hit rate", "decode ms",
-                "est total s");
-    hr();
-    for (size_t Target : {size_t(64), size_t(256), size_t(4096), size_t(0)}) {
-      store::StoreOptions SO;
-      SO.Shards = 1;
-      SO.CacheBudgetBytes = SweepBudget;
-      SO.PageTargetBytes = Target;
-      std::unique_ptr<store::CodeStore> S =
-          store::CodeStore::build(P, ChainSpec, SO, Err);
-      if (!S)
-        reportFatal("paged store build failed: " + Err);
-      vm::RunResult R;
-      double Cpu = timeIt([&] { R = store::runFromStore(*S); });
-      if (!R.Ok || R.Output != Eager.Output || R.ExitCode != Eager.ExitCode)
-        reportFatal("paged store run diverged: " + R.Trap);
-      store::StoreStats St = S->stats();
-      sim::TotalTime T = sim::storeTotalTime(Cpu, St.Misses, St.FetchedBytes,
-                                             St.DecodeNanos, Disk);
-      std::printf("%10zu | %7u %12zu | %10llu %9.1f%% | %10.2f %12.3f\n",
-                  Target, S->frameCount(), S->frameBytes(),
-                  (unsigned long long)St.Misses, St.hitRate() * 100,
-                  double(St.DecodeNanos) / 1e6, T.total());
-      char Json[512];
-      std::snprintf(Json, sizeof(Json),
-                    "{\"bench\":\"paging_page_sweep\",\"chain\":\"%s\","
-                    "\"page_target\":%zu,\"budget_bytes\":%zu,\"frames\":%u,"
-                    "\"frame_bytes\":%zu,\"decoded_bytes\":%zu,"
-                    "\"faults\":%llu,\"hit_rate\":%.4f,\"fetched_bytes\":%llu,"
-                    "\"decode_ms\":%.3f,\"cpu_s\":%.4f,\"est_total_s\":%.4f}",
-                    jsonEscape(ChainSpec).c_str(), Target, SweepBudget,
-                    S->frameCount(), S->frameBytes(), DecodedBytes,
-                    (unsigned long long)St.Misses, St.hitRate(),
-                    (unsigned long long)St.FetchedBytes,
-                    double(St.DecodeNanos) / 1e6, Cpu, T.total());
-      emitStats(Json);
-    }
-    hr();
-  }
-
-  // Fourth act (the granularity payoff, asserted): a function bigger
-  // than one page executes its hot loop with strictly fewer decoded
-  // bytes resident than function-granularity faulting under the same
-  // budget, because only the loop's page needs to stay in. The wep
-  // class is used here: its largest function (main) exceeds one 4 KiB
-  // page.
-  if (runAct(4)) {
-    std::string Err;
-    const size_t PageTarget = 4096;
-    vm::VMProgram WP = mustBuild(corpus::sizeClassSource("wep"));
-    size_t BigId = 0, BigFixed = 0;
-    for (size_t I = 0; I != WP.Functions.size(); ++I) {
-      size_t Bytes = 0;
-      for (const vm::Instr &In : WP.Functions[I].Code)
-        Bytes += vm::encodedSize(In);
-      if (Bytes > BigFixed) {
-        BigFixed = Bytes;
-        BigId = I;
-      }
-    }
-    const vm::VMFunction &Big = WP.Functions[BigId];
-    // The hot loop lives in the largest basic-block page; resolving any
-    // instruction inside it faults exactly that page.
-    std::vector<pipeline::PageChunk> Chunks =
-        pipeline::splitFunctionPages(Big, PageTarget);
-    size_t HotPage = 0;
-    for (size_t K = 0; K != Chunks.size(); ++K)
-      if (Chunks[K].Code.size() > Chunks[HotPage].Code.size())
-        HotPage = K;
-    uint32_t LoopIdx = Chunks[HotPage].FirstInstr;
-
-    size_t Budget = store::decodedCostBytes(Big);
-    auto residentAfterHotLoop = [&](size_t Target) -> uint64_t {
-      store::StoreOptions SO;
-      SO.Shards = 1;
-      SO.CacheBudgetBytes = Budget;
-      SO.PageTargetBytes = Target;
-      std::unique_ptr<store::CodeStore> S =
-          store::CodeStore::build(WP, ChainSpec, SO, Err);
-      if (!S)
-        reportFatal("hot-loop store build failed: " + Err);
-      for (int Iter = 0; Iter != 64; ++Iter) {
-        Result<vm::CodeSpan> Sp = S->faultSpan(
-            static_cast<uint32_t>(BigId), LoopIdx);
-        if (!Sp.ok())
-          reportFatal("hot-loop faultSpan failed: " + Sp.error().message());
-      }
-      return S->stats().ResidentBytes;
-    };
-    uint64_t PagedResident = residentAfterHotLoop(PageTarget);
-    uint64_t WholeResident = residentAfterHotLoop(0);
-    std::printf("\nHot-loop residency (wep largest fn '%s', %zu fixed B, "
-                "%zu pages @ %zu B target, budget %zu B)\n",
-                Big.Name.c_str(), BigFixed, Chunks.size(), PageTarget,
-                Budget);
-    std::printf("  page-granular resident: %llu B, function-granular "
-                "resident: %llu B\n",
-                (unsigned long long)PagedResident,
-                (unsigned long long)WholeResident);
-    char Json[512];
-    std::snprintf(Json, sizeof(Json),
-                  "{\"bench\":\"paging_hot_loop\",\"chain\":\"%s\","
-                  "\"fn\":\"%s\",\"fn_fixed_bytes\":%zu,\"page_target\":%zu,"
-                  "\"pages\":%zu,\"budget_bytes\":%zu,"
-                  "\"resident_paged\":%llu,\"resident_whole\":%llu}",
-                  jsonEscape(ChainSpec).c_str(),
-                  jsonEscape(Big.Name).c_str(), BigFixed, PageTarget,
-                  Chunks.size(), Budget,
-                  (unsigned long long)PagedResident,
-                  (unsigned long long)WholeResident);
-    emitStats(Json);
-    if (Chunks.size() < 2)
-      reportFatal("hot-loop act: largest function fits one page; the "
-                  "granularity claim is vacuous");
-    if (PagedResident >= WholeResident)
-      reportFatal("hot-loop act: page-granular residency is not strictly "
-                  "below function-granular residency");
   }
 
   // Fifth act (the tier payoff, asserted): on the hot-loop workload a
@@ -444,11 +281,6 @@ int main(int Argc, char **Argv) {
 
     store::TierStats TS = Rv.tierStats();
     double Speedup = InterpS / TieredS;
-    store::StoreStats St = STier->stats();
-    sim::JitModel Jit;
-    sim::TotalTime T = sim::tieredTotalTime(TieredS, St.Misses,
-                                            St.FetchedBytes, St.DecodeNanos,
-                                            TS.CompiledBytesTotal, Disk, Jit);
     std::printf("\nTiered execution (wep, chain %s, hot threshold %llu)\n",
                 ChainSpec, (unsigned long long)TO.HotThreshold);
     std::printf("  interpret-only: %.4f s/run, tiered: %.4f s/run "
@@ -456,20 +288,6 @@ int main(int Argc, char **Argv) {
                 InterpS, TieredS, Speedup,
                 (unsigned long long)TS.Compiles,
                 (unsigned long long)TS.NativeSteps);
-    char Json[512];
-    std::snprintf(Json, sizeof(Json),
-                  "{\"bench\":\"paging_tiered\",\"chain\":\"%s\","
-                  "\"hot_threshold\":%llu,\"interp_s\":%.5f,"
-                  "\"tiered_s\":%.5f,\"speedup\":%.3f,\"compiles\":%llu,"
-                  "\"compiled_bytes\":%llu,\"native_steps\":%llu,"
-                  "\"tier_transfers\":%llu,\"est_total_s\":%.4f}",
-                  jsonEscape(ChainSpec).c_str(),
-                  (unsigned long long)TO.HotThreshold, InterpS, TieredS,
-                  Speedup, (unsigned long long)TS.Compiles,
-                  (unsigned long long)TS.CompiledBytesTotal,
-                  (unsigned long long)TS.NativeSteps,
-                  (unsigned long long)TS.TierTransfers, T.total());
-    emitStats(Json);
     if (TS.Compiles == 0)
       reportFatal("tiered act: nothing compiled; the tier never engaged");
     if (TieredS >= InterpS)
@@ -477,274 +295,5 @@ int main(int Argc, char **Argv) {
                   "interpret-only");
   }
 
-  // Sixth act (multi-tenant sharing, asserted): N CodeStore views over
-  // one shared FrameRegistry serve the same program as N private
-  // stores, but the registry decodes each frame once process-wide and
-  // keeps one resident copy. Under a budget that holds the whole
-  // module, the shared decode count must equal the single-tenant count
-  // — independent of N — and shared resident bytes must stay strictly
-  // below N times the private figure for every N >= 2. A tight budget
-  // sweeps the other end: tenants contend for one small cache instead
-  // of each owning a small cache.
-  if (runAct(6)) {
-    std::string Err;
-    std::unique_ptr<store::CodeStore> Built =
-        store::CodeStore::build(P, ChainSpec, store::StoreOptions(), Err);
-    if (!Built)
-      reportFatal("shared act: store build failed: " + Err);
-    std::vector<uint8_t> Image = Built->save();
-
-    const size_t HugeBudget = DecodedBytes * 2;
-    const size_t TightBudget = DecodedBytes / 8;
-    uint64_t OneTenantDecodes = 0; // Huge-budget N=1 reference.
-
-    std::printf("\nMulti-tenant shared registry (chain %s, %zu decoded B)\n",
-                ChainSpec, DecodedBytes);
-    std::printf("%7s %10s | %10s %12s | %10s %12s\n", "tenants", "budget B",
-                "shr decode", "shr res B", "prv decode", "prv res B");
-    hr();
-    for (size_t Budget : {HugeBudget, TightBudget}) {
-      for (unsigned N : {1u, 2u, 8u}) {
-        store::RegistryOptions RO;
-        RO.CacheBudgetBytes = Budget;
-        auto Reg = std::make_shared<store::FrameRegistry>(RO);
-        std::vector<std::unique_ptr<store::CodeStore>> Tenants;
-        for (unsigned I = 0; I != N; ++I) {
-          store::StoreOptions SO;
-          SO.SharedRegistry = Reg;
-          Result<std::unique_ptr<store::CodeStore>> L =
-              store::CodeStore::tryLoad(Image, SO);
-          if (!L.ok())
-            reportFatal("shared act: tenant load failed: " +
-                        L.error().message());
-          Tenants.push_back(L.take());
-        }
-        double Cpu = timeIt([&] {
-          for (auto &S : Tenants) {
-            vm::RunResult R = store::runFromStore(*S);
-            if (!R.Ok || R.Output != Eager.Output ||
-                R.ExitCode != Eager.ExitCode || R.Steps != Eager.Steps)
-              reportFatal("shared act: tenant run diverged: " + R.Trap);
-          }
-        });
-        store::RegistryStats RS = Reg->stats();
-
-        // The private control: the same N runs, each store owning a
-        // cache of the same budget.
-        uint64_t PrivDecodes = 0, PrivResident = 0;
-        for (unsigned I = 0; I != N; ++I) {
-          store::StoreOptions SO;
-          SO.CacheBudgetBytes = Budget;
-          Result<std::unique_ptr<store::CodeStore>> L =
-              store::CodeStore::tryLoad(Image, SO);
-          if (!L.ok())
-            reportFatal("shared act: private load failed: " +
-                        L.error().message());
-          std::unique_ptr<store::CodeStore> S = L.take();
-          vm::RunResult R = store::runFromStore(*S);
-          if (!R.Ok || R.Output != Eager.Output)
-            reportFatal("shared act: private run diverged: " + R.Trap);
-          store::StoreStats St = S->stats();
-          PrivDecodes += St.Decodes;
-          PrivResident += St.ResidentBytes;
-        }
-
-        sim::TotalTime T =
-            sim::storeTotalTime(Cpu, RS.Decodes, 0, RS.DecodeNanos, Disk);
-        std::printf("%7u %10zu | %10llu %12llu | %10llu %12llu\n", N, Budget,
-                    (unsigned long long)RS.Decodes,
-                    (unsigned long long)RS.ResidentBytes,
-                    (unsigned long long)PrivDecodes,
-                    (unsigned long long)PrivResident);
-        char Json[512];
-        std::snprintf(Json, sizeof(Json),
-                      "{\"bench\":\"paging_shared\",\"chain\":\"%s\","
-                      "\"tenants\":%u,\"budget_bytes\":%zu,"
-                      "\"shared_decodes\":%llu,\"shared_resident\":%llu,"
-                      "\"private_decodes\":%llu,\"private_resident\":%llu,"
-                      "\"cpu_s\":%.4f,\"est_total_s\":%.4f}",
-                      jsonEscape(ChainSpec).c_str(), N, Budget,
-                      (unsigned long long)RS.Decodes,
-                      (unsigned long long)RS.ResidentBytes,
-                      (unsigned long long)PrivDecodes,
-                      (unsigned long long)PrivResident, Cpu, T.total());
-        emitStats(Json);
-
-        if (Budget == HugeBudget) {
-          if (N == 1)
-            OneTenantDecodes = RS.Decodes;
-          else if (RS.Decodes != OneTenantDecodes)
-            reportFatal("shared act: shared decode count scaled with "
-                        "tenants under a full-module budget");
-        }
-        if (N >= 2 && RS.ResidentBytes >= PrivResident)
-          reportFatal("shared act: shared resident bytes are not strictly "
-                      "below N private stores'");
-      }
-    }
-    hr();
-  }
-
-  // Seventh act (profile-guided layout, asserted): record one
-  // block-granular trace of the program, rebuild the paged store with
-  // the trace driving splitFunctionPages, and replay the same workload.
-  // Clustering co-hot blocks must strictly reduce BOTH demand faults
-  // and the decoded bytes left resident, against the source-order
-  // layout at the same page target and budget — the Ozturk et al.
-  // claim, measured on this corpus.
-  if (runAct(7)) {
-    std::string Err;
-    const size_t LayoutTarget = 96;
-    store::TraceRunResult Recorded = store::recordTrace(P);
-    if (!Recorded.Run.Ok)
-      reportFatal("layout act: profiling run failed: " + Recorded.Run.Trap);
-    if (Recorded.Run.Output != Eager.Output ||
-        Recorded.Run.ExitCode != Eager.ExitCode)
-      reportFatal("layout act: profiling run diverged from eager");
-
-    auto measure = [&](const pipeline::ExecutionTrace *Profile, uint64_t &Misses,
-                       uint64_t &Resident) {
-      store::StoreOptions SO;
-      SO.Shards = 1;
-      // A budget that holds everything: Misses counts each distinct
-      // page's compulsory fault and ResidentBytes counts every decoded
-      // byte the run ever needed — the layout signal, undiluted by
-      // eviction luck.
-      SO.CacheBudgetBytes = DecodedBytes * 2;
-      SO.PageTargetBytes = LayoutTarget;
-      SO.Profile = Profile;
-      std::unique_ptr<store::CodeStore> S =
-          store::CodeStore::build(P, ChainSpec, SO, Err);
-      if (!S)
-        reportFatal("layout act: store build failed: " + Err);
-      vm::RunResult R = store::runFromStore(*S);
-      if (!R.Ok || R.Output != Eager.Output ||
-          R.ExitCode != Eager.ExitCode || R.Steps != Eager.Steps)
-        reportFatal("layout act: store-backed run diverged: " + R.Trap);
-      store::StoreStats St = S->stats();
-      Misses = St.Misses;
-      Resident = St.ResidentBytes;
-      return S->frameCount();
-    };
-    uint64_t SrcMisses = 0, SrcResident = 0, ProfMisses = 0, ProfResident = 0;
-    uint32_t SrcFrames = measure(nullptr, SrcMisses, SrcResident);
-    uint32_t ProfFrames =
-        measure(&Recorded.Trace, ProfMisses, ProfResident);
-
-    std::printf("\nProfile-guided layout (icc, chain %s, %zu B pages, "
-                "%zu trace events)\n",
-                ChainSpec, LayoutTarget, Recorded.Trace.Events.size());
-    std::printf("  source order: %llu faults, %llu resident B (%u frames)\n"
-                "  trace-guided: %llu faults, %llu resident B (%u frames)\n",
-                (unsigned long long)SrcMisses,
-                (unsigned long long)SrcResident, SrcFrames,
-                (unsigned long long)ProfMisses,
-                (unsigned long long)ProfResident, ProfFrames);
-    char Json[512];
-    std::snprintf(Json, sizeof(Json),
-                  "{\"bench\":\"paging_layout\",\"chain\":\"%s\","
-                  "\"page_target\":%zu,\"trace_events\":%zu,"
-                  "\"src_faults\":%llu,\"src_resident\":%llu,"
-                  "\"src_frames\":%u,\"prof_faults\":%llu,"
-                  "\"prof_resident\":%llu,\"prof_frames\":%u}",
-                  jsonEscape(ChainSpec).c_str(), LayoutTarget,
-                  Recorded.Trace.Events.size(),
-                  (unsigned long long)SrcMisses,
-                  (unsigned long long)SrcResident, SrcFrames,
-                  (unsigned long long)ProfMisses,
-                  (unsigned long long)ProfResident, ProfFrames);
-    emitStats(Json);
-    if (ProfMisses >= SrcMisses)
-      reportFatal("layout act: trace-guided faults are not strictly below "
-                  "source order");
-    if (ProfResident >= SrcResident)
-      reportFatal("layout act: trace-guided resident bytes are not "
-                  "strictly below source order");
-  }
-
-  // Eighth act (per-page codec selection, asserted): build the paged
-  // store once per candidate chain used globally, then once with
-  // per-frame selection over the whole candidate set (pure size,
-  // deterministic). The selected container's frame bytes must come in
-  // strictly below the best single chain — the win only a per-frame
-  // chain table can record — and both the selected store and its
-  // saved/reloaded image must execute byte-identically to eager.
-  if (runAct(8)) {
-    std::string Err;
-    const size_t SelTarget = 256;
-    const std::vector<std::string> Candidates = {
-        "vm-compact",      "vm-compact+flate", "flate",
-        "bwt-dict",        "brisc-ctx",        "brisc-ctx+flate"};
-
-    std::printf("\nPer-page codec selection (icc, %zu B pages)\n", SelTarget);
-    std::printf("%-18s %7s %12s\n", "chain", "frames", "frame B");
-    hr();
-    size_t BestSingle = ~size_t(0);
-    std::string BestSpec;
-    for (const std::string &CS : Candidates) {
-      store::StoreOptions SO;
-      SO.PageTargetBytes = SelTarget;
-      SO.CacheBudgetBytes = DecodedBytes * 2;
-      std::unique_ptr<store::CodeStore> S =
-          store::CodeStore::build(P, CS, SO, Err);
-      if (!S)
-        reportFatal("selection act: build with '" + CS + "' failed: " + Err);
-      vm::RunResult R = store::runFromStore(*S);
-      if (!R.Ok || R.Output != Eager.Output || R.ExitCode != Eager.ExitCode ||
-          R.Steps != Eager.Steps)
-        reportFatal("selection act: run with '" + CS + "' diverged: " +
-                    R.Trap);
-      std::printf("%-18s %7u %12zu\n", CS.c_str(), S->frameCount(),
-                  S->frameBytes());
-      if (S->frameBytes() < BestSingle) {
-        BestSingle = S->frameBytes();
-        BestSpec = CS;
-      }
-    }
-
-    store::StoreOptions SO;
-    SO.PageTargetBytes = SelTarget;
-    SO.CacheBudgetBytes = DecodedBytes * 2;
-    SO.CandidateChains.assign(Candidates.begin() + 1, Candidates.end());
-    std::unique_ptr<store::CodeStore> Sel =
-        store::CodeStore::build(P, Candidates[0], SO, Err);
-    if (!Sel)
-      reportFatal("selection act: per-page build failed: " + Err);
-    vm::RunResult SelR = store::runFromStore(*Sel);
-    if (!SelR.Ok || SelR.Output != Eager.Output ||
-        SelR.ExitCode != Eager.ExitCode || SelR.Steps != Eager.Steps)
-      reportFatal("selection act: per-page run diverged: " + SelR.Trap);
-    // The saved chain-table image must reload and execute identically.
-    std::vector<uint8_t> Image = Sel->save();
-    Result<std::unique_ptr<store::CodeStore>> Re =
-        store::CodeStore::tryLoad(Image, store::StoreOptions());
-    if (!Re.ok())
-      reportFatal("selection act: reload failed: " + Re.error().message());
-    vm::RunResult ReR = store::runFromStore(*Re.value());
-    if (!ReR.Ok || ReR.Output != Eager.Output ||
-        ReR.ExitCode != Eager.ExitCode || ReR.Steps != Eager.Steps)
-      reportFatal("selection act: reloaded run diverged: " + ReR.Trap);
-    std::printf("%-18s %7u %12zu  (best single: %s, %zu B)\n", "per-page",
-                Sel->frameCount(), Sel->frameBytes(), BestSpec.c_str(),
-                BestSingle);
-    hr();
-    char Json[512];
-    std::snprintf(Json, sizeof(Json),
-                  "{\"bench\":\"paging_perpage\",\"page_target\":%zu,"
-                  "\"chains\":%zu,\"best_single_chain\":\"%s\","
-                  "\"best_single_bytes\":%zu,\"perpage_bytes\":%zu,"
-                  "\"perpage\":%s,\"frames\":%u}",
-                  SelTarget, Candidates.size(),
-                  jsonEscape(BestSpec).c_str(), BestSingle,
-                  Sel->frameBytes(),
-                  Sel->perPageChains() ? "true" : "false",
-                  Sel->frameCount());
-    emitStats(Json);
-    if (!Sel->perPageChains())
-      reportFatal("selection act: selection was uniform; nothing to show");
-    if (Sel->frameBytes() >= BestSingle)
-      reportFatal("selection act: per-page frame bytes are not strictly "
-                  "below the best single chain");
-  }
   return 0;
 }

@@ -23,8 +23,6 @@
 //      Retries mask every transient (the run stays byte-identical); the
 //      bill shows up purely as virtual transfer time and retry counts.
 //
-// Each configuration emits one machine-readable CCOMP-STATS JSON line.
-//
 //===----------------------------------------------------------------------===//
 
 #include "../bench/BenchUtil.h"
@@ -50,35 +48,6 @@ struct StoreForm {
   const char *Chain;
   std::vector<uint8_t> Image;
 };
-
-void statsLine(const char *Link, const char *Form, size_t Bytes,
-               double FetchS, double DecodeS, double CpuS, double TotalS,
-               const store::StoreStats *St, double FailRate) {
-  // Link and form names are free-form text: escape them, and validate
-  // the assembled line so the emitted format stays parseable.
-  char Buf[768];
-  int N = std::snprintf(
-      Buf, sizeof(Buf),
-      "{\"bench\":\"remote_paging\",\"link\":\"%s\","
-      "\"form\":\"%s\",\"compressed_bytes\":%zu,\"fail_rate\":%.2f,"
-      "\"fetch_virtual_s\":%.4f,\"decode_s\":%.4f,\"cpu_s\":%.4f,"
-      "\"total_s\":%.4f",
-      jsonEscape(Link).c_str(), jsonEscape(Form).c_str(), Bytes, FailRate,
-      FetchS, DecodeS, CpuS, TotalS);
-  if (St)
-    N += std::snprintf(
-        Buf + N, sizeof(Buf) - N,
-        ",\"misses\":%llu,\"hit_rate\":%.4f,\"fetched_bytes\":%llu,"
-        "\"fetch_attempts\":%llu,\"fetch_retries\":%llu,"
-        "\"fetch_failures\":%llu",
-        (unsigned long long)St->Misses, St->hitRate(),
-        (unsigned long long)St->FetchedBytes,
-        (unsigned long long)St->FetchAttempts,
-        (unsigned long long)St->FetchRetries,
-        (unsigned long long)St->FetchFailures);
-  std::snprintf(Buf + N, sizeof(Buf) - N, "}");
-  emitStats(Buf);
-}
 
 } // namespace
 
@@ -121,7 +90,7 @@ int main() {
   const size_t Budget = DecodedBytes / 4;
 
   auto RunStore = [&](const StoreForm &F, const sim::Link &L,
-                      double FailRate, uint64_t Seed, bool Emit) {
+                      double FailRate, uint64_t Seed, bool Print) {
     store::RemoteOptions RO;
     RO.Link = L;
     RO.Latency = store::LatencyMode::Batched; // One session per run.
@@ -151,12 +120,9 @@ int main() {
     sim::TotalTime T =
         sim::remoteTotalTime(Cpu - DecodeS, St.DecodeNanos,
                              St.FetchVirtualNanos);
-    if (Emit) {
+    if (Print)
       std::printf("  %-18s %10zu %12.3f %12.4f %12.3f\n", F.Chain,
                   F.Image.size(), FetchS, DecodeS, T.total());
-      statsLine(L.Name, F.Chain, F.Image.size(), FetchS, DecodeS, Cpu,
-                T.total(), &St, FailRate);
-    }
     return St;
   };
 
@@ -172,10 +138,8 @@ int main() {
     std::printf("  %-18s %10zu %12.3f %12.4f %12.3f\n", "wire",
                 Wire.size(), WireFetch, WireClientSec,
                 WireFetch + WireClientSec);
-    statsLine(L.Name, "wire", Wire.size(), WireFetch, WireClientSec, 0.0,
-              WireFetch + WireClientSec, nullptr, 0.0);
     for (const StoreForm &F : Forms)
-      RunStore(F, L, 0.0, 0xBE9C, /*Emit=*/true);
+      RunStore(F, L, 0.0, 0xBE9C, /*Print=*/true);
     std::printf("\n");
   }
   std::printf("expected shape: the wire module is far denser than "
@@ -194,17 +158,12 @@ int main() {
               "retries", "fetch s", "failures");
   for (double Rate : {0.0, 0.05, 0.10, 0.30}) {
     store::StoreStats St =
-        RunStore(Flaky, sim::modem28k(), Rate, 0xF1A6, /*Emit=*/false);
+        RunStore(Flaky, sim::modem28k(), Rate, 0xF1A6, /*Print=*/false);
     std::printf("  %9.0f%% %12llu %12llu %12.3f %12llu\n", Rate * 100,
                 (unsigned long long)St.FetchAttempts,
                 (unsigned long long)St.FetchRetries,
                 double(St.FetchVirtualNanos) / 1e9,
                 (unsigned long long)St.FetchFailures);
-    statsLine("28.8k modem", Flaky.Chain, Flaky.Image.size(),
-              double(St.FetchVirtualNanos) / 1e9,
-              double(St.DecodeNanos) / 1e9, 0.0,
-              double(St.FetchVirtualNanos + St.DecodeNanos) / 1e9, &St,
-              Rate);
   }
   std::printf("\nexpected shape: every run is byte-identical to eager "
               "execution; rising fault\nrates only raise attempts and "

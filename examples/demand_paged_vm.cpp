@@ -99,7 +99,7 @@ int main(int argc, char **argv) {
 
     store::StoreStats St = S->stats();
     sim::TotalTime T =
-        sim::storeTotalTime(Cpu, St.Misses, 0, St.DecodeNanos, Disk);
+        sim::storeTotalTime(Cpu, St.Misses, St.DecodeNanos, Disk);
     std::printf("%12zu | %8llu %8llu %8llu %8.1f%% %10.2f %12.3f\n", Budget,
                 (unsigned long long)St.Misses, (unsigned long long)St.Hits,
                 (unsigned long long)St.Evictions, St.hitRate() * 100,

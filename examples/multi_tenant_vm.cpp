@@ -132,7 +132,7 @@ int main(int argc, char **argv) {
       PrivResident += St.ResidentBytes;
     }
     sim::TotalTime T =
-        sim::storeTotalTime(Cpu, RS.Decodes, 0, RS.DecodeNanos, Disk);
+        sim::storeTotalTime(Cpu, RS.Decodes, RS.DecodeNanos, Disk);
     std::printf("%7u | %6llu %9llu | %6llu %9llu | %10.3f\n", N,
                 (unsigned long long)RS.Decodes,
                 (unsigned long long)RS.ResidentBytes,

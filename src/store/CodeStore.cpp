@@ -857,6 +857,10 @@ void CodeStore::warmFrames(const std::vector<uint32_t> &Frames,
   if (Frames.empty())
     return;
   Source->prefetchHint(Frames);
+  {
+    std::lock_guard<std::mutex> L(WarmMu);
+    WarmPending.insert(Frames.begin(), Frames.end());
+  }
   for (uint32_t Id : Frames)
     Pool.submit([this, Id] {
       try {
@@ -865,7 +869,14 @@ void CodeStore::warmFrames(const std::vector<uint32_t> &Frames,
         // Pool jobs must not throw; failures are already counted in
         // DecodeErrors by the fault path.
       }
+      std::lock_guard<std::mutex> L(WarmMu);
+      WarmPending.erase(Id);
     });
+}
+
+bool CodeStore::warmPending(uint32_t Id) const {
+  std::lock_guard<std::mutex> L(WarmMu);
+  return WarmPending.count(Id) != 0;
 }
 
 void CodeStore::prefetch(const std::vector<uint32_t> &Ids, ThreadPool &Pool) {
@@ -1040,11 +1051,13 @@ void CodeStore::prefetchPredicted(uint32_t Fn, uint32_t Idx,
   if (Fn >= Funcs.size())
     return;
   // Walk the whole ranked list and keep the first DefaultPredictions
-  // frames that are NOT already resident: as earlier predictions land,
-  // later faults advance down the list instead of re-predicting them.
+  // frames that are neither resident nor already being warmed: as
+  // earlier predictions land, later faults advance down the list
+  // instead of re-predicting them. Skipping pending warms too keeps the
+  // wave independent of how far the pool has got.
   std::vector<uint32_t> Want;
   for (uint32_t Id : predictedSuccessors(frameOf(Fn, Idx), ~0u)) {
-    if (entryResident(Id))
+    if (entryResident(Id) || warmPending(Id))
       continue;
     Want.push_back(Id);
     if (Want.size() == DefaultPredictions)

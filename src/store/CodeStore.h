@@ -115,6 +115,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 namespace ccomp {
@@ -387,8 +388,10 @@ public:
 
   /// Targeted prefetch: warms the predicted successors of the frame
   /// serving (\p Fn, \p Idx) — one admission-clamped prefetchHint batch
-  /// plus pool warms — instead of warming everything. No-op when
-  /// nothing is predicted or everything predicted is resident.
+  /// plus pool warms — instead of warming everything. Frames whose warm
+  /// is still pending count as taken, so the wave does not depend on
+  /// pool scheduling. No-op when nothing is predicted or everything
+  /// predicted is resident or pending.
   void prefetchPredicted(uint32_t Fn, uint32_t Idx, ThreadPool &Pool);
 
   /// Decoded-bytes estimate for one frame before decoding it: exact for
@@ -464,6 +467,8 @@ private:
   /// Hints \p Frames to the source and warms each through \p Pool; the
   /// caller has already filtered residency and clamped to admission.
   void warmFrames(const std::vector<uint32_t> &Frames, ThreadPool &Pool);
+  /// True while a warm of frame \p Id is queued or running on a pool.
+  bool warmPending(uint32_t Id) const;
 
   /// One page's manifest entry: which slice of the function it holds,
   /// and (FuncImage chains only) the rank -> function-label-index list
@@ -547,6 +552,10 @@ private:
   mutable std::mutex PinMu;
   std::vector<uint8_t> PinnedByMe;
   std::vector<uint64_t> PinGens;
+
+  /// Frames with a warm submitted by warmFrames and not yet finished.
+  mutable std::mutex WarmMu;
+  std::unordered_set<uint32_t> WarmPending;
 };
 
 /// Decoded in-memory footprint we charge the cache for one function (or

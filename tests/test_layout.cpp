@@ -21,6 +21,7 @@
 
 #include "TestUtil.h"
 
+#include "corpus/Corpus.h"
 #include "pipeline/Codec.h"
 #include "pipeline/Payload.h"
 #include "pipeline/Profile.h"
@@ -460,6 +461,47 @@ TEST(Layout, ConcurrentSpanFaultsOnProfiledLayoutDecodeOnce) {
   EXPECT_EQ(St.Decodes, 1u) << "single-flight collapses to one page decode";
   EXPECT_EQ(St.Hits + St.Misses, uint64_t(NumThreads));
   EXPECT_EQ(St.SingleFlightWaits, St.Misses - 1);
+}
+
+
+// The layout payoff (EXPERIMENTS E11, the Ozturk et al. access-pattern
+// claim): on the icc class at 96 B pages, clustering co-hot blocks by
+// the recorded trace must strictly cut BOTH demand faults and resident
+// decoded bytes against source order. The budget holds everything, so
+// faults count each distinct page's compulsory miss and resident bytes
+// count every decoded byte the run needed — the layout signal, with no
+// eviction luck in it.
+TEST(Layout, TraceGuidedLayoutCutsFaultsAndResidentBytes) {
+  vm::VMProgram P = buildVM(corpus::sizeClassSource("icc"));
+  vm::RunResult Eager = vm::runProgram(P);
+  ASSERT_TRUE(Eager.Ok) << Eager.Trap;
+  pipeline::ExecutionTrace Trace = mustRecord(P, Eager);
+  size_t DecodedBytes = 0;
+  for (const vm::VMFunction &F : P.Functions)
+    DecodedBytes += decodedCostBytes(F);
+
+  auto measure = [&](const pipeline::ExecutionTrace *Profile) {
+    StoreOptions Opts;
+    Opts.Shards = 1;
+    Opts.CacheBudgetBytes = DecodedBytes * 2;
+    Opts.PageTargetBytes = 96;
+    Opts.Profile = Profile;
+    std::unique_ptr<CodeStore> S = mustBuildStore(P, "brisc+flate", Opts);
+    EXPECT_NE(S, nullptr);
+    if (!S)
+      return StoreStats();
+    vm::RunResult R = runFromStore(*S);
+    EXPECT_TRUE(R.Ok) << R.Trap;
+    EXPECT_EQ(R.Output, Eager.Output);
+    EXPECT_EQ(R.ExitCode, Eager.ExitCode);
+    EXPECT_EQ(R.Steps, Eager.Steps);
+    return S->stats();
+  };
+  StoreStats Source = measure(nullptr);
+  StoreStats Guided = measure(&Trace);
+  // Recorded: 835 < 849 faults, 329,248 < 336,252 resident bytes.
+  EXPECT_LT(Guided.Misses, Source.Misses);
+  EXPECT_LT(Guided.ResidentBytes, Source.ResidentBytes);
 }
 
 } // namespace

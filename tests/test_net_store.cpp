@@ -939,50 +939,124 @@ TEST(NetStore, WireFramingMakesSimChargeRealWireBytes) {
 //===----------------------------------------------------------------------===//
 
 TEST(NetStore, ConcurrentClientsAllMatchTheEagerRun) {
-  vm::VMProgram P = buildVM(syntheticSource(10));
+  struct Input {
+    unsigned Functions;
+    unsigned Clients;
+  };
+  // The second input is the scale case: 256 concurrent clients against
+  // one server on the 96-function program.
+  for (Input In : {Input{10, 24}, Input{96, 256}}) {
+    SCOPED_TRACE(std::to_string(In.Clients) + " clients, " +
+                 std::to_string(In.Functions) + " functions");
+    vm::VMProgram P = buildVM(syntheticSource(In.Functions));
+    vm::RunResult Eager = vm::Machine(P).run();
+    ASSERT_TRUE(Eager.Ok) << Eager.Trap;
+    std::vector<uint8_t> Image = buildImage(P, "brisc+flate");
+    std::unique_ptr<net::FrameServer> Server = startServer(Image);
+    ASSERT_NE(Server, nullptr);
+
+    std::atomic<unsigned> Failures{0}, Mismatches{0};
+    std::vector<std::thread> Clients;
+    Clients.reserve(In.Clients);
+    for (unsigned I = 0; I != In.Clients; ++I)
+      Clients.emplace_back([&] {
+        net::SocketOptions SO;
+        SO.Port = Server->port();
+        Result<std::unique_ptr<net::SocketFrameSource>> Sock =
+            net::SocketFrameSource::connect(SO);
+        if (!Sock.ok()) {
+          ++Failures;
+          return;
+        }
+        StoreOptions Opts;
+        Opts.Retry.RealTime = true;
+        Result<std::unique_ptr<CodeStore>> St =
+            CodeStore::tryFromSource(Sock.take(), Opts);
+        if (!St.ok()) {
+          ++Failures;
+          return;
+        }
+        vm::RunResult R = runFromStore(*St.value());
+        if (!R.Ok)
+          ++Failures;
+        else if (R.Output != Eager.Output || R.ExitCode != Eager.ExitCode)
+          ++Mismatches;
+      });
+    for (std::thread &T : Clients)
+      T.join();
+
+    EXPECT_EQ(Failures.load(), 0u);
+    EXPECT_EQ(Mismatches.load(), 0u);
+    net::ServerStats SS = Server->stats();
+    EXPECT_EQ(SS.Accepted, In.Clients);
+    EXPECT_EQ(SS.ProtocolErrors, 0u);
+    EXPECT_GE(SS.FramesServed, uint64_t(In.Clients));
+  }
+}
+
+// Round-trip economics on the 96-function program, one client whose
+// cache never re-faults, counted on the server. Per-frame faulting pays
+// the manifest plus one round trip per frame; one coalesced prefetch
+// pays the manifest plus one GetBatch; trace-driven prediction must sit
+// strictly below per-frame, at the same count on every run. A
+// prediction wave skips frames whose warm is still pending on the pool,
+// so the count cannot depend on how far the pool has got.
+TEST(NetStore, PrefetchRoundTripsPerFrameBatchedPredictive) {
+  vm::VMProgram P = buildVM(syntheticSource(96));
   vm::RunResult Eager = vm::Machine(P).run();
   ASSERT_TRUE(Eager.Ok) << Eager.Trap;
+  store::TraceRunResult Recorded = store::recordTrace(P);
+  ASSERT_TRUE(Recorded.Run.Ok) << Recorded.Run.Trap;
   std::vector<uint8_t> Image = buildImage(P, "brisc+flate");
   std::unique_ptr<net::FrameServer> Server = startServer(Image);
   ASSERT_NE(Server, nullptr);
 
-  constexpr unsigned NumClients = 24;
-  std::atomic<unsigned> Failures{0}, Mismatches{0};
-  std::vector<std::thread> Clients;
-  Clients.reserve(NumClients);
-  for (unsigned I = 0; I != NumClients; ++I)
-    Clients.emplace_back([&] {
-      net::SocketOptions SO;
-      SO.Port = Server->port();
-      Result<std::unique_ptr<net::SocketFrameSource>> Sock =
-          net::SocketFrameSource::connect(SO);
-      if (!Sock.ok()) {
-        ++Failures;
-        return;
-      }
-      StoreOptions Opts;
-      Opts.Retry.RealTime = true;
-      Result<std::unique_ptr<CodeStore>> St =
-          CodeStore::tryFromSource(Sock.take(), Opts);
-      if (!St.ok()) {
-        ++Failures;
-        return;
-      }
-      vm::RunResult R = runFromStore(*St.value());
-      if (!R.Ok)
-        ++Failures;
-      else if (R.Output != Eager.Output || R.ExitCode != Eager.ExitCode)
-        ++Mismatches;
-    });
-  for (std::thread &T : Clients)
-    T.join();
+  enum class Mode { PerFrame, Batched, Predictive };
+  auto roundTrips = [&](Mode M) -> uint64_t {
+    uint64_t Before = Server->stats().Requests;
+    std::unique_ptr<net::SocketFrameSource> Sock =
+        connectClient(Server->port());
+    EXPECT_NE(Sock, nullptr);
+    if (!Sock)
+      return 0;
+    StoreOptions Opts;
+    Opts.CacheBudgetBytes = 64u << 20;
+    Opts.Retry.RealTime = true;
+    Result<std::unique_ptr<CodeStore>> St =
+        CodeStore::tryFromSource(std::move(Sock), Opts);
+    EXPECT_TRUE(St.ok()) << (St.ok() ? "" : St.error().message());
+    if (!St.ok())
+      return 0;
+    CodeStore &Store = *St.value();
 
-  EXPECT_EQ(Failures.load(), 0u);
-  EXPECT_EQ(Mismatches.load(), 0u);
-  net::ServerStats SS = Server->stats();
-  EXPECT_EQ(SS.Accepted, NumClients);
-  EXPECT_EQ(SS.ProtocolErrors, 0u);
-  EXPECT_GE(SS.FramesServed, uint64_t(NumClients));
+    vm::RunResult R;
+    ThreadPool Pool(2);
+    if (M == Mode::Batched) {
+      std::vector<uint32_t> All(Store.functionCount());
+      for (uint32_t I = 0; I != Store.functionCount(); ++I)
+        All[I] = I;
+      Store.prefetch(All, Pool);
+      Pool.wait();
+    }
+    if (M == Mode::Predictive) {
+      Store.applyAccessProfile(Recorded.Trace);
+      R = runFromStore(Store, {}, &Pool);
+    } else {
+      R = runFromStore(Store);
+    }
+    EXPECT_TRUE(R.Ok) << R.Trap;
+    EXPECT_EQ(R.Output, Eager.Output);
+    EXPECT_EQ(R.ExitCode, Eager.ExitCode);
+    return Server->stats().Requests - Before;
+  };
+
+  uint64_t PerFrame = roundTrips(Mode::PerFrame);
+  EXPECT_EQ(PerFrame, 98u);
+  EXPECT_EQ(roundTrips(Mode::Batched), 2u);
+  uint64_t Predictive = roundTrips(Mode::Predictive);
+  EXPECT_LT(Predictive, PerFrame);
+  for (int Rep = 0; Rep != 4; ++Rep)
+    EXPECT_EQ(roundTrips(Mode::Predictive), Predictive) << "repeat " << Rep;
 }
 
 } // namespace

@@ -16,10 +16,13 @@
 
 #include "TestUtil.h"
 
+#include "corpus/Corpus.h"
 #include "pipeline/Codec.h"
+#include "pipeline/Payload.h"
 #include "pipeline/Pipeline.h"
 #include "store/CodeStore.h"
 #include "store/Resolver.h"
+#include "vm/Encode.h"
 
 #include "gtest/gtest.h"
 
@@ -380,6 +383,64 @@ TEST(PagedStore, CorruptPageFailsRecoverablyOtherPagesServable) {
     Result<std::shared_ptr<const vm::VMFunction>> R = S->fault(I);
     EXPECT_TRUE(R.ok()) << I << ": " << R.error().message();
   }
+}
+
+
+// The granularity payoff (EXPERIMENTS E7): the wep class's largest
+// function spans several 4 KiB pages, and spinning in its hot loop under
+// a budget of that one function's decoded size leaves strictly fewer
+// decoded bytes resident page-granular than function-granular, because
+// only the loop's page has to stay in.
+TEST(PagedStore, HotLoopResidencyBelowFunctionGranular) {
+  const size_t PageTarget = 4096;
+  vm::VMProgram P = buildVM(corpus::sizeClassSource("wep"));
+  ASSERT_FALSE(P.Functions.empty());
+  size_t BigId = 0, BigFixed = 0;
+  for (size_t I = 0; I != P.Functions.size(); ++I) {
+    size_t Bytes = 0;
+    for (const vm::Instr &In : P.Functions[I].Code)
+      Bytes += vm::encodedSize(In);
+    if (Bytes > BigFixed) {
+      BigFixed = Bytes;
+      BigId = I;
+    }
+  }
+  const vm::VMFunction &Big = P.Functions[BigId];
+  // The hot loop lives in the largest basic-block page; resolving any
+  // instruction inside it faults exactly that page.
+  std::vector<pipeline::PageChunk> Chunks =
+      pipeline::splitFunctionPages(Big, PageTarget);
+  ASSERT_GE(Chunks.size(), 2u)
+      << "the largest function fits one page; the claim is vacuous";
+  size_t HotPage = 0;
+  for (size_t K = 0; K != Chunks.size(); ++K)
+    if (Chunks[K].Code.size() > Chunks[HotPage].Code.size())
+      HotPage = K;
+  uint32_t LoopIdx = Chunks[HotPage].FirstInstr;
+
+  const size_t Budget = decodedCostBytes(Big);
+  auto residentAfterHotLoop = [&](size_t Target) -> uint64_t {
+    StoreOptions Opts;
+    Opts.Shards = 1;
+    Opts.CacheBudgetBytes = Budget;
+    Opts.PageTargetBytes = Target;
+    std::unique_ptr<CodeStore> S = mustBuildStore(P, "brisc+flate", Opts);
+    EXPECT_NE(S, nullptr);
+    if (!S)
+      return 0;
+    for (int Iter = 0; Iter != 64; ++Iter) {
+      Result<vm::CodeSpan> Sp =
+          S->faultSpan(static_cast<uint32_t>(BigId), LoopIdx);
+      EXPECT_TRUE(Sp.ok()) << Sp.error().message();
+    }
+    return S->stats().ResidentBytes;
+  };
+  uint64_t PagedResident = residentAfterHotLoop(PageTarget);
+  uint64_t WholeResident = residentAfterHotLoop(0);
+  EXPECT_GT(PagedResident, 0u);
+  EXPECT_LT(PagedResident, WholeResident)
+      << "page-granular residency must be strictly below "
+         "function-granular (16024 < 16400 B when recorded)";
 }
 
 } // namespace

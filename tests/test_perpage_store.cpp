@@ -18,6 +18,7 @@
 
 #include "TestUtil.h"
 
+#include "corpus/Corpus.h"
 #include "pipeline/Codec.h"
 #include "pipeline/Pipeline.h"
 #include "store/CodeStore.h"
@@ -312,6 +313,57 @@ TEST(PerPageStore, ConcurrentMixedChainFaultsMatchEager) {
   for (std::thread &T : Threads)
     T.join();
   EXPECT_EQ(Failures.load(), 0);
+}
+
+
+// The selection payoff (EXPERIMENTS E12): on the icc class at 256 B
+// pages, choosing a chain per page out of six candidates must be
+// non-uniform and strictly smaller than the best of those chains used
+// for every page, and every build, plus the saved and reloaded
+// selected image, must run exactly like the eager run.
+TEST(PerPageStore, SelectionBeatsBestSingleChainOnIcc) {
+  const std::vector<std::string> Chains = {
+      "vm-compact", "vm-compact+flate", "flate",
+      "bwt-dict",   "brisc-ctx",        "brisc-ctx+flate"};
+  vm::VMProgram P = buildVM(corpus::sizeClassSource("icc"));
+  vm::RunResult Eager = vm::runProgram(P);
+  ASSERT_TRUE(Eager.Ok) << Eager.Trap;
+  size_t DecodedBytes = 0;
+  for (const vm::VMFunction &F : P.Functions)
+    DecodedBytes += decodedCostBytes(F);
+  StoreOptions Opts;
+  Opts.PageTargetBytes = 256;
+  Opts.CacheBudgetBytes = DecodedBytes * 2;
+
+  auto expectEager = [&](CodeStore &S, const std::string &Ctx) {
+    vm::RunResult R = runFromStore(S);
+    EXPECT_TRUE(R.Ok) << Ctx << ": " << R.Trap;
+    EXPECT_EQ(R.Output, Eager.Output) << Ctx;
+    EXPECT_EQ(R.ExitCode, Eager.ExitCode) << Ctx;
+    EXPECT_EQ(R.Steps, Eager.Steps) << Ctx;
+  };
+
+  size_t BestSingle = ~size_t(0);
+  for (const std::string &CS : Chains) {
+    std::unique_ptr<CodeStore> S = mustBuildStore(P, CS, Opts);
+    ASSERT_NE(S, nullptr);
+    expectEager(*S, CS);
+    BestSingle = std::min(BestSingle, S->frameBytes());
+  }
+
+  StoreOptions SelOpts = Opts;
+  SelOpts.CandidateChains.assign(Chains.begin() + 1, Chains.end());
+  std::unique_ptr<CodeStore> Sel = mustBuildStore(P, Chains[0], SelOpts);
+  ASSERT_NE(Sel, nullptr);
+  expectEager(*Sel, "per-page");
+  EXPECT_TRUE(Sel->perPageChains()) << "selection was uniform";
+  // Recorded: 288,584 per-page bytes against bwt-dict's 298,137.
+  EXPECT_LT(Sel->frameBytes(), BestSingle);
+
+  Result<std::unique_ptr<CodeStore>> Re =
+      CodeStore::tryLoad(Sel->save(), StoreOptions());
+  ASSERT_TRUE(Re.ok()) << Re.error().message();
+  expectEager(*Re.value(), "reloaded per-page");
 }
 
 } // namespace

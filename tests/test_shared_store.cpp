@@ -265,6 +265,70 @@ TEST(SharedStore, DecodeBillIndependentOfTenantCount) {
       EXPECT_EQ(Tenants.back()->stats().Misses, 0u);
     }
   }
+
+  // The same bill on the icc class (EXPERIMENTS E9), against N private
+  // stores, at a budget twice its decoded size and at one eighth of it.
+  // At the ample budget shared decodes stay flat in N; at both budgets
+  // N >= 2 tenants keep strictly fewer bytes resident than N private
+  // stores; and every run is the eager run, step count included.
+  vm::VMProgram Icc = buildVM(corpus::sizeClassSource("icc"));
+  vm::RunResult Eager = vm::runProgram(Icc);
+  ASSERT_TRUE(Eager.Ok) << Eager.Trap;
+  std::unique_ptr<CodeStore> IccBuilt =
+      mustBuildStore(Icc, "brisc+flate", StoreOptions());
+  ASSERT_NE(IccBuilt, nullptr);
+  std::vector<uint8_t> IccImage = IccBuilt->save();
+  size_t DecodedBytes = 0;
+  for (const vm::VMFunction &F : Icc.Functions)
+    DecodedBytes += decodedCostBytes(F);
+  auto expectEager = [&](CodeStore &S) {
+    vm::RunResult R = runFromStore(S);
+    EXPECT_TRUE(R.Ok) << R.Trap;
+    EXPECT_EQ(R.Output, Eager.Output);
+    EXPECT_EQ(R.ExitCode, Eager.ExitCode);
+    EXPECT_EQ(R.Steps, Eager.Steps);
+  };
+
+  const size_t AmpleBudget = DecodedBytes * 2;
+  for (size_t Budget : {AmpleBudget, DecodedBytes / 8}) {
+    uint64_t OneTenantDecodes = 0;
+    for (unsigned N : {1u, 2u, 8u}) {
+      SCOPED_TRACE("icc, budget " + std::to_string(Budget) + ", " +
+                   std::to_string(N) + " tenants");
+      RegistryOptions RO;
+      RO.CacheBudgetBytes = Budget;
+      auto Reg = std::make_shared<FrameRegistry>(RO);
+      std::vector<std::unique_ptr<CodeStore>> Tenants;
+      for (unsigned I = 0; I != N; ++I) {
+        Tenants.push_back(mustLoadTenant(IccImage, Reg));
+        ASSERT_NE(Tenants.back(), nullptr);
+      }
+      for (std::unique_ptr<CodeStore> &T : Tenants)
+        expectEager(*T);
+      RegistryStats Shared = Reg->stats();
+
+      uint64_t PrivateResident = 0;
+      for (unsigned I = 0; I != N; ++I) {
+        StoreOptions Opts;
+        Opts.CacheBudgetBytes = Budget;
+        Result<std::unique_ptr<CodeStore>> L =
+            CodeStore::tryLoad(IccImage, Opts);
+        ASSERT_TRUE(L.ok()) << L.error().message();
+        expectEager(*L.value());
+        PrivateResident += L.value()->stats().ResidentBytes;
+      }
+
+      if (Budget == AmpleBudget) {
+        if (N == 1)
+          OneTenantDecodes = Shared.Decodes;
+        else
+          EXPECT_EQ(Shared.Decodes, OneTenantDecodes);
+      }
+      if (N >= 2) {
+        EXPECT_LT(Shared.ResidentBytes, PrivateResident);
+      }
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
