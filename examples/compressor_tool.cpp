@@ -4,15 +4,25 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The command-line face of the codec registry. Every compression stack
-// in the project (flate, vm-compact, brisc, wire) is a registered Codec;
-// this tool compiles a mini-C source, fans per-function payloads across
-// a thread pool, and packs the frames into one self-describing container
-// that `decompress` can invert without being told the chain.
+// The command-line face of the codec registry and the store runtime.
+// Every compression stack in the project (flate, vm-compact, brisc,
+// wire, ...) is a registered Codec; this tool compiles a mini-C source,
+// fans per-function payloads across a thread pool, and packs the frames
+// into one self-describing container that `decompress` can invert
+// without being told the chain. A `--store` image is the paper's
+// delivery unit: `serve` puts it behind a TCP frame server, and `run`
+// executes it out of a demand-paged CodeStore, from the file or from a
+// server.
 //
 //   compressor_tool --list                      show registered codecs
 //   compressor_tool compress   file.c out.ccpk  [--codec CHAIN] [--jobs N] [--stats]
+//                                               [--store [--page-bytes N]
+//                                                [--per-page --chains A,B]
+//                                                [--profile FILE]]
 //   compressor_tool decompress in.ccpk          [--jobs N] [--stats]
+//   compressor_tool profile    file.c out.ccprof
+//   compressor_tool serve      store.ccpk       [--port N]
+//   compressor_tool run        store.ccpk | host:port
 //
 // CHAIN is '+'-separated, first codec first: "brisc", "brisc+flate",
 // "wire", "vm-compact+flate", ... Codecs after the first must accept raw
@@ -22,11 +32,14 @@
 
 #include "codegen/Codegen.h"
 #include "minic/Compile.h"
+#include "net/FrameServer.h"
+#include "net/SocketFrameSource.h"
 #include "pipeline/Codec.h"
 #include "pipeline/Payload.h"
 #include "pipeline/Pipeline.h"
 #include "pipeline/Profile.h"
 #include "store/CodeStore.h"
+#include "store/Resolver.h"
 #include "store/Trace.h"
 #include "support/Support.h"
 #include "support/ThreadPool.h"
@@ -63,6 +76,13 @@ bool writeFile(const char *Path, const std::vector<uint8_t> &Bytes) {
   return static_cast<bool>(Out);
 }
 
+/// Prints "<source>: <reason>" for a typed load, fetch or decode error
+/// and returns the tool's exit code for it.
+int fail(const char *Source, const DecodeError &E) {
+  std::fprintf(stderr, "%s: %s\n", Source, E.message().c_str());
+  return 1;
+}
+
 int usage() {
   std::fprintf(
       stderr,
@@ -72,15 +92,22 @@ int usage() {
       " [--per-page --chains A,B,..] [--profile FILE] [--stats]\n"
       "       compressor_tool decompress <in.ccpk> [--jobs N] [--stats]\n"
       "       compressor_tool profile <file.c> <out.ccprof>\n"
+      "       compressor_tool serve <store.ccpk> [--port N]\n"
+      "       compressor_tool run <store.ccpk | host:port>\n"
       "CHAIN: '+'-separated codec names, e.g. brisc+flate (see --list)\n"
       "--store emits a CodeStore image (manifest at frame 0) that\n"
-      "demand_paged_vm and frame_server can execute and serve\n"
+      "'run' executes and 'serve' serves\n"
       "--per-page (with --store) trial-encodes every frame through the\n"
       "--codec chain plus each comma-separated --chains candidate and\n"
       "keeps the smallest; a mixed outcome writes a per-frame chain table\n"
       "'profile' runs the program once, recording its block-level\n"
       "execution trace to a CCPF sidecar; compress --store --page-bytes N\n"
-      "--profile FILE feeds it back so co-hot blocks share pages\n");
+      "--profile FILE feeds it back so co-hot blocks share pages\n"
+      "'serve' serves a store image's frames over TCP until stdin closes\n"
+      "(--port 0, the default, picks a free port)\n"
+      "'run' executes a store image, faulting each function in on first\n"
+      "call, from the file or from a server; a SOURCE with ':' is\n"
+      "host:port\n");
   return 2;
 }
 
@@ -121,8 +148,23 @@ struct Flags {
   size_t PageBytes = 0;
   std::vector<std::string> CandidateChains;
   std::string ProfilePath;
+  uint16_t Port = 0;
   std::vector<const char *> Positional;
 };
+
+/// Checked port parsing for --port and host:port: garbage, overflow and
+/// anything past 65535 fail with a typed message instead of wrapping.
+bool parsePort(const char *What, const char *Text, uint64_t Min,
+               uint16_t &Out) {
+  uint64_t N = 0;
+  if (!parseUnsigned(Text, Min, 65535, N)) {
+    std::fprintf(stderr, "%s wants an integer in [%llu, 65535], got '%s'\n",
+                 What, (unsigned long long)Min, Text);
+    return false;
+  }
+  Out = static_cast<uint16_t>(N);
+  return true;
+}
 
 bool parseFlags(int argc, char **argv, int First, Flags &F) {
   for (int I = First; I < argc; ++I) {
@@ -170,6 +212,9 @@ bool parseFlags(int argc, char **argv, int First, Flags &F) {
       F.PageBytes = static_cast<size_t>(N);
     } else if (!std::strcmp(argv[I], "--profile") && I + 1 < argc) {
       F.ProfilePath = argv[++I];
+    } else if (!std::strcmp(argv[I], "--port") && I + 1 < argc) {
+      if (!parsePort("--port", argv[++I], 0, F.Port))
+        return false;
     } else if (argv[I][0] == '-') {
       std::fprintf(stderr, "unknown flag %s\n", argv[I]);
       return false;
@@ -263,8 +308,8 @@ int doCompress(const Flags &F) {
 
   if (F.Store) {
     // A servable image: the store packs the same codec frames but puts
-    // its manifest at frame 0, which demand_paged_vm, frame_server, and
-    // every FrameSource require.
+    // its manifest at frame 0, which `run`, `serve` and every
+    // FrameSource require.
     store::StoreOptions Opts;
     Opts.BuildJobs = F.Jobs;
     Opts.PageTargetBytes = F.PageBytes;
@@ -279,11 +324,8 @@ int doCompress(const Flags &F) {
       }
       Result<pipeline::ExecutionTrace> T =
           pipeline::ExecutionTrace::tryDeserialize(Sidecar);
-      if (!T.ok()) {
-        std::fprintf(stderr, "%s: %s\n", F.ProfilePath.c_str(),
-                     T.error().message().c_str());
-        return 1;
-      }
+      if (!T.ok())
+        return fail(F.ProfilePath.c_str(), T.error());
       Trace = T.take();
       Opts.Profile = &Trace;
       if (!Opts.PageTargetBytes)
@@ -338,10 +380,8 @@ int decompressStoreImage(const char *Input, const std::vector<uint8_t> &Bytes,
                          const Flags &F) {
   Result<std::unique_ptr<store::CodeStore>> S =
       store::CodeStore::tryLoad(Bytes, store::StoreOptions());
-  if (!S.ok()) {
-    std::fprintf(stderr, "%s: %s\n", Input, S.error().message().c_str());
-    return 1;
-  }
+  if (!S.ok())
+    return fail(Input, S.error());
   store::CodeStore &St = *S.value();
   if (F.Jobs > 1) {
     // Warm through the pool; the fault loop below reports any error.
@@ -384,10 +424,8 @@ int doDecompress(const Flags &F) {
     return 1;
   }
   Result<Container> C = tryUnpackContainer(Bytes);
-  if (!C.ok()) {
-    std::fprintf(stderr, "%s: %s\n", Input, C.error().message().c_str());
-    return 1;
-  }
+  if (!C.ok())
+    return fail(Input, C.error());
   std::string Error;
   std::vector<const Codec *> Chain = parseChain(C.value().ChainSpec, Error);
   if (Chain.empty()) {
@@ -401,11 +439,8 @@ int doDecompress(const Flags &F) {
     return decompressStoreImage(Input, Bytes, Chain, F);
   Result<std::vector<std::vector<uint8_t>>> Payloads =
       tryDecompressAll(Chain, C.value().Frames, F.Jobs);
-  if (!Payloads.ok()) {
-    std::fprintf(stderr, "%s: %s\n", Input,
-                 Payloads.error().message().c_str());
-    return 1;
-  }
+  if (!Payloads.ok())
+    return fail(Input, Payloads.error());
   std::printf("%s: %zu item(s), %zu frame bytes -> %zu payload bytes "
               "(chain %s, %u job(s))\n",
               Input, Payloads.value().size(),
@@ -413,6 +448,107 @@ int doDecompress(const Flags &F) {
               C.value().ChainSpec.c_str(), F.Jobs);
   if (F.Stats)
     printStats(Chain);
+  return 0;
+}
+
+int doServe(const Flags &F) {
+  if (F.Positional.size() != 1)
+    return usage();
+  const char *Input = F.Positional[0];
+  Result<std::unique_ptr<store::FileFrameSource>> Src =
+      store::FileFrameSource::open(Input);
+  if (!Src.ok())
+    return fail(Input, Src.error());
+  std::printf("serving %u frames (%zu compressed bytes, chain %s)\n",
+              Src.value()->functionFrameCount(), Src.value()->frameBytes(),
+              Src.value()->chainSpec().c_str());
+  net::ServerOptions Opts;
+  Opts.Port = F.Port;
+  Result<std::unique_ptr<net::FrameServer>> Srv =
+      net::FrameServer::start(Src.take(), Opts);
+  if (!Srv.ok())
+    return fail(Input, Srv.error());
+  net::FrameServer &S = *Srv.value();
+  std::printf("listening on %s:%u (content hash %016llx)\n",
+              S.address().c_str(), S.port(),
+              (unsigned long long)S.contentHash());
+  // Scripts read the port from this line while the server runs.
+  std::fflush(stdout);
+
+  // Serve until stdin reaches EOF (Ctrl-D, or the far end of a pipe).
+  while (std::getchar() != EOF)
+    ;
+
+  net::ServerStats St = S.stats();
+  std::printf("served %llu requests (%llu batches, %llu frames) across "
+              "%llu connections; %llu fetch errors, %llu protocol errors\n",
+              (unsigned long long)St.Requests, (unsigned long long)St.Batches,
+              (unsigned long long)St.FramesServed,
+              (unsigned long long)St.Accepted,
+              (unsigned long long)St.FetchErrors,
+              (unsigned long long)St.ProtocolErrors);
+  S.stop();
+  return 0;
+}
+
+int doRun(const Flags &F) {
+  if (F.Positional.size() != 1)
+    return usage();
+  const char *Input = F.Positional[0];
+  std::unique_ptr<store::FrameSource> Src;
+  store::StoreOptions Opts;
+  net::SocketFrameSource *Sock = nullptr; // Owned by the store once open.
+  if (const char *Colon = std::strrchr(Input, ':')) {
+    net::SocketOptions SO;
+    SO.Host.assign(Input, Colon);
+    if (SO.Host.empty()) {
+      std::fprintf(stderr, "run wants host:port, got '%s'\n", Input);
+      return 2;
+    }
+    if (!parsePort("port", Colon + 1, 1, SO.Port))
+      return 2;
+    Result<std::unique_ptr<net::SocketFrameSource>> S =
+        net::SocketFrameSource::connect(SO);
+    if (!S.ok())
+      return fail(Input, S.error());
+    Sock = S.value().get();
+    Src = S.take();
+    Opts.Retry.RealTime = true; // Real transport: back off on a real clock.
+    Opts.Retry.DeadlineSeconds = 10.0;
+  } else {
+    Result<std::unique_ptr<store::FileFrameSource>> S =
+        store::FileFrameSource::open(Input);
+    if (!S.ok())
+      return fail(Input, S.error());
+    Src = S.take();
+  }
+  Result<std::unique_ptr<store::CodeStore>> Store =
+      store::CodeStore::tryFromSource(std::move(Src), Opts);
+  if (!Store.ok())
+    return fail(Input, Store.error());
+
+  vm::RunResult R = store::runFromStore(*Store.value());
+  if (!R.Ok) {
+    std::fprintf(stderr, "%s: run trapped: %s\n", Input, R.Trap.c_str());
+    return 1;
+  }
+  std::fwrite(R.Output.data(), 1, R.Output.size(), stdout);
+  if (!R.Output.empty() && R.Output.back() != '\n')
+    std::putchar('\n');
+  std::printf("exit %d after %llu steps\n", R.ExitCode,
+              (unsigned long long)R.Steps);
+  store::StoreStats SS = Store.value()->stats();
+  std::printf("store: %llu faults, %llu decodes, %llu bytes fetched",
+              (unsigned long long)SS.Misses, (unsigned long long)SS.Decodes,
+              (unsigned long long)SS.FetchedBytes);
+  if (Sock) {
+    net::ClientStats CS = Sock->stats();
+    std::printf("; client: %llu round trips, %llu dials, %llu bytes down",
+                (unsigned long long)CS.RoundTrips,
+                (unsigned long long)CS.Dials,
+                (unsigned long long)CS.BytesReceived);
+  }
+  std::printf("\n");
   return 0;
 }
 
@@ -434,5 +570,9 @@ int main(int argc, char **argv) {
     return doDecompress(F);
   if (!std::strcmp(argv[1], "profile"))
     return doProfile(F);
+  if (!std::strcmp(argv[1], "serve"))
+    return doServe(F);
+  if (!std::strcmp(argv[1], "run"))
+    return doRun(F);
   return usage();
 }

@@ -59,29 +59,10 @@ inline TotalTime totalTime(double CpuSeconds, const PagingResult &P,
 /// 1. Every store fault pays one backing-store seek (the read folded
 /// into it, as for whole-function frames), and the CPU additionally
 /// runs the store's measured frame decompression.
-///
-/// Shared stores use the same model with registry-global numbers: N
-/// tenants over one FrameRegistry pass their summed interpreter CPU,
-/// store::RegistryStats::Decodes as \p Faults and its DecodeNanos — a
-/// frame decoded for one tenant is a free hit for every other, so the
-/// decode and fault bills are paid once, process-wide.
 inline TotalTime storeTotalTime(double CpuSeconds, uint64_t Faults,
                                 uint64_t DecodeNanos, const DiskModel &D) {
   return {CpuSeconds + static_cast<double>(DecodeNanos) / 1e9,
           static_cast<double>(Faults) * D.FaultSeconds};
-}
-
-/// Remote-fetch variant: a store miss pays link transfer time instead of
-/// a disk seek. \p FetchVirtualNanos is the virtual clock accumulated by
-/// the store's frame source (store::StoreStats::FetchVirtualNanos —
-/// transfer, injected failures, and retry backoff), and the CPU still
-/// runs the frame decoder, so decode time stays a CPU term. This is the
-/// mobile-code delivery scenario of section 1 at per-function
-/// granularity.
-inline TotalTime remoteTotalTime(double CpuSeconds, uint64_t DecodeNanos,
-                                 uint64_t FetchVirtualNanos) {
-  return {CpuSeconds + static_cast<double>(DecodeNanos) / 1e9,
-          static_cast<double>(FetchVirtualNanos) / 1e9};
 }
 
 } // namespace sim

@@ -90,6 +90,20 @@ Result<bool> CodeStore::initRuntime(StoreOptions O) {
     RO.CacheBudgetBytes = O.CacheBudgetBytes;
     unsigned N = std::max(1u, O.Shards);
     N = std::min<unsigned>(N, std::max<uint32_t>(1, frameCount()));
+    // Each shard runs its own LRU over its share of the budget, and a
+    // share smaller than a frame's decoded cost can never keep that
+    // frame resident: every touch of it decodes again. Take no more
+    // shards than leave each share room for the largest frame the
+    // manifest knows of (build() also knows unpaged code lengths).
+    size_t Largest = 1;
+    for (uint32_t Id = 0; Id != frameCount(); ++Id)
+      Largest = std::max(Largest,
+                         estimatedDecodedCost(Id) +
+                             (Paged ? 0
+                                    : size_t(Funcs[Id].CodeLen) *
+                                          sizeof(vm::Instr)));
+    N = static_cast<unsigned>(
+        std::min<size_t>(N, std::max<size_t>(1, O.CacheBudgetBytes / Largest)));
     RO.Shards = N;
     Reg = std::make_shared<FrameRegistry>(RO);
     PrivateReg = true;
@@ -178,6 +192,7 @@ std::unique_ptr<CodeStore> CodeStore::build(const vm::VMProgram &P,
       FuncRecord Rec;
       Rec.Name = P.Functions[I].Name;
       Rec.FrameSize = P.Functions[I].FrameSize;
+      Rec.CodeLen = static_cast<uint32_t>(P.Functions[I].Code.size());
       // The function image carries its own label table; code-only bodies
       // need the manifest to preserve it.
       if (S->Kind != PayloadKind::FuncImage)

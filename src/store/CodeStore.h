@@ -139,7 +139,9 @@ struct StoreOptions {
   /// SharedRegistry is set: a shared registry brings its own
   /// RegistryOptions.
   size_t CacheBudgetBytes = 1u << 20;
-  unsigned Shards = 8; ///< Clamped to [1, frame count] (private registry).
+  /// Private registry only. Clamped to [1, frame count], and to no more
+  /// shards than leave each shard's budget room for the largest frame.
+  unsigned Shards = 8;
   unsigned BuildJobs = 1; ///< Compression fan-out in build().
   /// build() only: when nonzero, split functions at basic-block
   /// boundaries into pages of at most this many fixed-width code bytes
@@ -486,8 +488,10 @@ private:
     std::string Name;
     uint32_t FrameSize = 0;
     std::vector<uint32_t> LabelPos; ///< Empty for unpaged FuncImage payloads.
+    /// Total instruction count. A paged manifest records it; an unpaged
+    /// one does not, so only build() knows it for unpaged stores.
+    uint32_t CodeLen = 0;
     // Paged stores only:
-    uint32_t CodeLen = 0;   ///< Total instruction count.
     uint32_t FirstPage = 0; ///< Frame id of this function's first page.
     std::vector<PageRec> Pages;
   };

@@ -142,6 +142,40 @@ TEST(PagedStore, ExecutionMatchesEagerAtAnyPageSizeAndBudget) {
       }
     }
   }
+
+  // A small budget under the default shard count. The corpus suite
+  // (brisc+flate, ~48 KB decoded, largest function ~3.6 KB) at
+  // decoded/8 would give each of 8 shards ~760 B, so no large frame
+  // could stay resident and every touch of it would decode again. The
+  // private registry takes no more shards than leave each share room
+  // for the largest frame, so faults equal a one-shard store's.
+  vm::VMProgram Suite = suiteProgram();
+  vm::RunResult SuiteEager = vm::runProgram(Suite);
+  ASSERT_TRUE(SuiteEager.Ok) << SuiteEager.Trap;
+  size_t Decoded = 0;
+  for (const vm::VMFunction &F : Suite.Functions)
+    Decoded += decodedCostBytes(F);
+  for (size_t Target : {size_t(0), size_t(4096)}) {
+    uint64_t Faults[2] = {0, 0};
+    for (unsigned Shards : {1u, StoreOptions().Shards}) {
+      StoreOptions Opts;
+      Opts.PageTargetBytes = Target;
+      Opts.CacheBudgetBytes = Decoded / 8;
+      Opts.Shards = Shards;
+      std::unique_ptr<CodeStore> S = mustBuildStore(Suite, "brisc+flate", Opts);
+      ASSERT_NE(S, nullptr);
+      vm::RunResult R = runFromStore(*S);
+      std::string Ctx = "suite target=" + std::to_string(Target) +
+                        " shards=" + std::to_string(Shards);
+      EXPECT_TRUE(R.Ok) << Ctx << ": " << R.Trap;
+      EXPECT_EQ(R.ExitCode, SuiteEager.ExitCode) << Ctx;
+      EXPECT_EQ(R.Output, SuiteEager.Output) << Ctx;
+      EXPECT_EQ(R.Steps, SuiteEager.Steps) << Ctx;
+      Faults[Shards != 1] = S->stats().Misses;
+    }
+    EXPECT_EQ(Faults[1], Faults[0])
+        << "target=" << Target << ": default shards vs one shard";
+  }
 }
 
 // fault(Fn) on a paged store assembles the body from its pages; the

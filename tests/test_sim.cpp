@@ -55,14 +55,6 @@ TEST(Transport, LatencyChargedOncePerTransferAndBatchedStreams) {
   }
 }
 
-TEST(Paging, RemoteTotalTimeModel) {
-  // 3s CPU + 0.5s of measured decode; 2s of virtual link time.
-  TotalTime T = remoteTotalTime(3.0, 500000000ull, 2000000000ull);
-  EXPECT_NEAR(T.CpuSeconds, 3.5, 1e-12);
-  EXPECT_NEAR(T.PagingSeconds, 2.0, 1e-12);
-  EXPECT_NEAR(T.total(), 5.5, 1e-12);
-}
-
 TEST(Paging, SequentialFitsInBudget) {
   // 4 pages cycled, 4 frames: only compulsory faults.
   std::vector<uint32_t> Trace;

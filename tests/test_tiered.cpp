@@ -143,6 +143,33 @@ TEST(Tiered, HotThresholdGatesCompilation) {
   EXPECT_GT(HotStats.NativeSteps, 0u);
   // Single-flight + cache: at most one compile per store function.
   EXPECT_LE(HotStats.Compiles, uint64_t(S->functionCount()));
+
+  // E8's threshold sweep, pinned: the corpus suite through brisc+flate,
+  // loaded from its saved image with default options. Threshold 0
+  // compiles all 49 functions, 4 compiles the 32 whose demand heat
+  // reaches 4, and never compiles none; every run equals the eager one.
+  vm::VMProgram Suite = suiteProgram();
+  vm::RunResult SuiteEager = vm::runProgram(Suite);
+  ASSERT_TRUE(SuiteEager.Ok) << SuiteEager.Trap;
+  std::unique_ptr<CodeStore> Built =
+      mustBuildStore(Suite, "brisc+flate", StoreOptions());
+  ASSERT_NE(Built, nullptr);
+  ASSERT_EQ(Built->functionCount(), 49u);
+  std::vector<uint8_t> Image = Built->save();
+  const std::pair<uint64_t, uint64_t> Sweep[] = {
+      {0, 49}, {4, 32}, {~0ull, 0}};
+  for (const auto &[Threshold, Compiles] : Sweep) {
+    Result<std::unique_ptr<CodeStore>> L =
+        CodeStore::tryLoad(Image, StoreOptions());
+    ASSERT_TRUE(L.ok()) << L.error().message();
+    TierOptions TO;
+    TO.HotThreshold = Threshold;
+    TierStats TS;
+    vm::RunResult R = runTieredFromStore(*L.value(), TO, {}, &TS);
+    std::string Ctx = "suite threshold=" + std::to_string(Threshold);
+    expectSameRun(R, SuiteEager, Ctx);
+    EXPECT_EQ(TS.Compiles, Compiles) << Ctx;
+  }
 }
 
 // Heat accounting feeds the gate: demand faults and hits both count,
