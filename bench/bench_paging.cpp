@@ -168,9 +168,9 @@ int main(int Argc, char **Argv) {
   }
 
   // Second act: the simulator's prediction against the real thing. The
-  // decode-on-fault CodeStore executes the same program with function
-  // bodies faulted in from compressed frames under a byte budget; the
-  // simulator replays a function-granularity reference string through a
+  // decode-on-fault CodeStore executes the same program out of one
+  // compressed page per function under a byte budget; the simulator
+  // replays a function-granularity reference string through a
   // uniform-slot LRU. Store misses should track predicted faults, with
   // the gap owed to unequal function sizes.
   if (runAct(2)) {
@@ -195,9 +195,8 @@ int main(int Argc, char **Argv) {
                 "%zu -> %zu bytes)\n",
                 ChainSpec, P.Functions.size(), DecodedBytes,
                 Built->frameBytes());
-    std::printf("%8s %12s | %10s %10s | %10s %10s %12s\n", "resident",
-                "budget B", "sim fault", "real miss", "hit rate", "decode ms",
-                "est total s");
+    std::printf("%8s %12s | %10s %10s | %10s %10s\n", "resident", "budget B",
+                "sim fault", "real miss", "hit rate", "decode ms");
     hr();
     for (unsigned Resident : {2u, 4u, 8u, 16u, 32u, 64u}) {
       if (Resident > P.Functions.size())
@@ -213,17 +212,14 @@ int main(int Argc, char **Argv) {
         reportFatal("store load failed: " + L.error().message());
       std::unique_ptr<store::CodeStore> S = L.take();
 
-      vm::RunResult R;
-      double Cpu = timeIt([&] { R = store::runFromStore(*S); });
+      vm::RunResult R = store::runFromStore(*S);
       if (!R.Ok || R.Output != Eager.Output || R.ExitCode != Eager.ExitCode)
         reportFatal("store-backed run diverged: " + R.Trap);
       store::StoreStats St = S->stats();
-      sim::TotalTime T =
-          sim::storeTotalTime(Cpu, St.Misses, St.DecodeNanos, Disk);
-      std::printf("%8u %12zu | %10llu %10llu | %9.1f%% %10.2f %12.3f\n",
-                  Resident, SO.CacheBudgetBytes,
-                  (unsigned long long)SimFaults, (unsigned long long)St.Misses,
-                  St.hitRate() * 100, double(St.DecodeNanos) / 1e6, T.total());
+      std::printf("%8u %12zu | %10llu %10llu | %9.1f%% %10.2f\n", Resident,
+                  SO.CacheBudgetBytes, (unsigned long long)SimFaults,
+                  (unsigned long long)St.Misses, St.hitRate() * 100,
+                  double(St.DecodeNanos) / 1e6);
     }
     hr();
   }

@@ -346,9 +346,9 @@ int doCompress(const Flags &F) {
       return 1;
     }
     std::printf("%s: store image, %u function(s), %u frame(s) + manifest -> "
-                "%zu container bytes (chain %s, %u job(s)%s%s%s)\n",
+                "%zu container bytes (chain %s, %u job(s)%s%s)\n",
                 Output, S->functionCount(), S->frameCount(), Packed.size(),
-                F.Chain.c_str(), F.Jobs, S->paged() ? ", paged" : "",
+                F.Chain.c_str(), F.Jobs,
                 S->perPageChains() ? ", per-page chains"
                                    : (F.PerPage ? ", uniform selection" : ""),
                 F.ProfilePath.empty() ? "" : ", profiled layout");
@@ -403,10 +403,9 @@ int decompressStoreImage(const char *Input, const std::vector<uint8_t> &Bytes,
     DecodedInstrs += R.value()->Code.size();
   }
   std::printf("%s: store image, %u function(s), %u frame(s), %zu frame "
-              "bytes -> %zu instruction(s) (chain %s%s%s, %u job(s))\n",
+              "bytes -> %zu instruction(s) (chain %s%s, %u job(s))\n",
               Input, St.functionCount(), St.frameCount(), St.frameBytes(),
               DecodedInstrs, St.chainSpec().c_str(),
-              St.paged() ? ", paged" : "",
               St.perPageChains() ? ", per-page chains" : "", F.Jobs);
   if (F.Stats)
     printStats(Chain);

@@ -54,17 +54,6 @@ inline TotalTime totalTime(double CpuSeconds, const PagingResult &P,
   return {CpuSeconds, static_cast<double>(P.Faults) * D.FaultSeconds};
 }
 
-/// Decode-on-fault model for the store runtime (src/store) — the
-/// "decompress the page contents on page-in" configuration of section
-/// 1. Every store fault pays one backing-store seek (the read folded
-/// into it, as for whole-function frames), and the CPU additionally
-/// runs the store's measured frame decompression.
-inline TotalTime storeTotalTime(double CpuSeconds, uint64_t Faults,
-                                uint64_t DecodeNanos, const DiskModel &D) {
-  return {CpuSeconds + static_cast<double>(DecodeNanos) / 1e9,
-          static_cast<double>(Faults) * D.FaultSeconds};
-}
-
 } // namespace sim
 } // namespace ccomp
 

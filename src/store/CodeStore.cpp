@@ -12,7 +12,6 @@
 #include "support/ByteIO.h"
 #include "support/Support.h"
 #include "support/ThreadPool.h"
-#include "vm/Encode.h"
 
 #include <algorithm>
 #include <unordered_map>
@@ -29,10 +28,10 @@ constexpr uint32_t ManifestMagic = 0x4D534343; // "CCSM".
 /// signalled by flag bits, never by another version.
 constexpr uint8_t ManifestVersion = 3;
 
-constexpr uint8_t ManifestFlagPaged = 1;      // Sub-function page frames.
+constexpr uint8_t ManifestFlagPageTable = 1;  // Required: every store is paged.
 constexpr uint8_t ManifestFlagChainTable = 2; // Per-frame chain table.
 constexpr uint8_t ManifestFlagsKnown =
-    ManifestFlagPaged | ManifestFlagChainTable;
+    ManifestFlagPageTable | ManifestFlagChainTable;
 
 /// On-disk chain-table bounds: a per-frame table needs at least one
 /// alternative beside the primary (a one-chain store writes no table),
@@ -93,15 +92,10 @@ Result<bool> CodeStore::initRuntime(StoreOptions O) {
     // Each shard runs its own LRU over its share of the budget, and a
     // share smaller than a frame's decoded cost can never keep that
     // frame resident: every touch of it decodes again. Take no more
-    // shards than leave each share room for the largest frame the
-    // manifest knows of (build() also knows unpaged code lengths).
+    // shards than leave each share room for the largest frame.
     size_t Largest = 1;
     for (uint32_t Id = 0; Id != frameCount(); ++Id)
-      Largest = std::max(Largest,
-                         estimatedDecodedCost(Id) +
-                             (Paged ? 0
-                                    : size_t(Funcs[Id].CodeLen) *
-                                          sizeof(vm::Instr)));
+      Largest = std::max(Largest, estimatedDecodedCost(Id));
     N = static_cast<unsigned>(
         std::min<size_t>(N, std::max<size_t>(1, O.CacheBudgetBytes / Largest)));
     RO.Shards = N;
@@ -113,7 +107,6 @@ Result<bool> CodeStore::initRuntime(StoreOptions O) {
                  std::to_string(chainTableDigest(ChainSpecs, FrameChain));
   Id.FrameCount = frameCount();
   Id.FuncCount = functionCount();
-  Id.Paged = Paged;
   Result<std::shared_ptr<ModuleHeat>> H = Reg->registerModule(Hash, Id);
   if (!H.ok())
     return H.error();
@@ -137,8 +130,6 @@ CodeStore::~CodeStore() {
 
 void CodeStore::indexPages() {
   FrameFunc.clear();
-  if (!Paged)
-    return;
   FrameFunc.reserve(TotalPages);
   for (uint32_t F = 0; F != Funcs.size(); ++F)
     for (size_t K = 0; K != Funcs[F].Pages.size(); ++K)
@@ -176,84 +167,63 @@ std::unique_ptr<CodeStore> CodeStore::build(const vm::VMProgram &P,
   S->Skel.Globals = P.Globals;
   S->Skel.GlobalBase = P.GlobalBase;
   S->Skel.GlobalEnd = P.GlobalEnd;
-  S->Paged = Opts.PageTargetBytes > 0;
 
-  // Per-function (or per-page) payloads, matching makePayloads' contract
-  // per kind.
+  // Per-page payloads, matching makePayloads' contract per kind. A page
+  // target of 0 never cuts, so each function is one page.
   std::vector<std::vector<uint8_t>> Payloads;
-  if (!S->Paged) {
-    Payloads.reserve(P.Functions.size());
+  // Digest the access profile (when given) into per-function layout
+  // signals. Shapes come from the original functions: image
+  // canonicalization only sorts/dedups the label table, and blockCuts
+  // canonicalizes the same way, so block identity is unchanged.
+  std::vector<pipeline::FunctionProfile> Profiles;
+  if (Opts.Profile && !Opts.Profile->Events.empty()) {
+    std::vector<pipeline::FunctionShape> Shapes;
+    Shapes.reserve(P.Functions.size());
     for (const vm::VMFunction &F : P.Functions)
-      Payloads.push_back(S->Kind == PayloadKind::FuncImage
-                             ? pipeline::encodeFuncImage(F)
-                             : vm::encodeFunction(F));
-    S->Funcs.reserve(P.Functions.size());
-    for (size_t I = 0; I != P.Functions.size(); ++I) {
-      FuncRecord Rec;
-      Rec.Name = P.Functions[I].Name;
-      Rec.FrameSize = P.Functions[I].FrameSize;
-      Rec.CodeLen = static_cast<uint32_t>(P.Functions[I].Code.size());
-      // The function image carries its own label table; code-only bodies
-      // need the manifest to preserve it.
-      if (S->Kind != PayloadKind::FuncImage)
-        Rec.LabelPos = P.Functions[I].LabelPos;
-      S->Funcs.push_back(std::move(Rec));
-    }
-  } else {
-    // Digest the access profile (when given) into per-function layout
-    // signals. Shapes come from the original functions: image
-    // canonicalization only sorts/dedups the label table, and blockCuts
-    // canonicalizes the same way, so block identity is unchanged.
-    std::vector<pipeline::FunctionProfile> Profiles;
-    if (Opts.Profile && !Opts.Profile->Events.empty()) {
-      std::vector<pipeline::FunctionShape> Shapes;
-      Shapes.reserve(P.Functions.size());
-      for (const vm::VMFunction &F : P.Functions)
-        Shapes.push_back(pipeline::FunctionShape{
-            F.LabelPos, static_cast<uint32_t>(F.Code.size())});
-      Profiles = pipeline::digestTrace(*Opts.Profile, Shapes);
-    }
-    S->Funcs.reserve(P.Functions.size());
-    for (size_t FnIdx = 0; FnIdx != P.Functions.size(); ++FnIdx) {
-      const vm::VMFunction &F = P.Functions[FnIdx];
-      const vm::VMFunction *Use = &F;
-      vm::VMFunction Canon;
-      if (S->Kind == PayloadKind::FuncImage) {
-        // Canonicalize through the image round trip first (sorted,
-        // deduplicated label table), so the pages' label references,
-        // the manifest's label table, and what an unpaged store would
-        // decode all agree — fault() reassembles a byte-identical body.
-        Result<vm::VMFunction> C =
-            pipeline::tryDecodeFuncImage(pipeline::encodeFuncImage(F));
-        if (!C.ok()) {
-          Error = "store: function '" + F.Name +
-                  "' does not round-trip as an image: " + C.error().message();
-          return nullptr;
-        }
-        Canon = C.take();
-        Use = &Canon;
+      Shapes.push_back(pipeline::FunctionShape{
+          F.LabelPos, static_cast<uint32_t>(F.Code.size())});
+    Profiles = pipeline::digestTrace(*Opts.Profile, Shapes);
+  }
+  S->Funcs.reserve(P.Functions.size());
+  for (size_t FnIdx = 0; FnIdx != P.Functions.size(); ++FnIdx) {
+    const vm::VMFunction &F = P.Functions[FnIdx];
+    const vm::VMFunction *Use = &F;
+    vm::VMFunction Canon;
+    if (S->Kind == PayloadKind::FuncImage) {
+      // Canonicalize through the image round trip first (sorted,
+      // deduplicated label table), so the pages' label references and
+      // the manifest's label table agree — fault() reassembles exactly
+      // the body a FuncImage decode of the function would give.
+      Result<vm::VMFunction> C =
+          pipeline::tryDecodeFuncImage(pipeline::encodeFuncImage(F));
+      if (!C.ok()) {
+        Error = "store: function '" + F.Name +
+                "' does not round-trip as an image: " + C.error().message();
+        return nullptr;
       }
-      FuncRecord Rec;
-      Rec.Name = Use->Name;
-      Rec.FrameSize = Use->FrameSize;
-      Rec.LabelPos = Use->LabelPos;
-      Rec.CodeLen = static_cast<uint32_t>(Use->Code.size());
-      Rec.FirstPage = S->TotalPages;
-      std::vector<pipeline::PageChunk> Chunks = pipeline::splitFunctionPages(
-          *Use, Opts.PageTargetBytes,
-          Profiles.empty() ? nullptr : &Profiles[FnIdx]);
-      for (pipeline::PageChunk &C : Chunks) {
-        PageRec PR;
-        PR.FirstInstr = C.FirstInstr;
-        PR.InstrCount = static_cast<uint32_t>(C.Code.size());
-        Payloads.push_back(pipeline::encodePagePayload(
-            S->Kind, C.Code,
-            S->Kind == PayloadKind::FuncImage ? &PR.Labels : nullptr));
-        Rec.Pages.push_back(std::move(PR));
-      }
-      S->TotalPages += static_cast<uint32_t>(Chunks.size());
-      S->Funcs.push_back(std::move(Rec));
+      Canon = C.take();
+      Use = &Canon;
     }
+    FuncRecord Rec;
+    Rec.Name = Use->Name;
+    Rec.FrameSize = Use->FrameSize;
+    Rec.LabelPos = Use->LabelPos;
+    Rec.CodeLen = static_cast<uint32_t>(Use->Code.size());
+    Rec.FirstPage = S->TotalPages;
+    std::vector<pipeline::PageChunk> Chunks = pipeline::splitFunctionPages(
+        *Use, Opts.PageTargetBytes,
+        Profiles.empty() ? nullptr : &Profiles[FnIdx]);
+    for (pipeline::PageChunk &C : Chunks) {
+      PageRec PR;
+      PR.FirstInstr = C.FirstInstr;
+      PR.InstrCount = static_cast<uint32_t>(C.Code.size());
+      Payloads.push_back(pipeline::encodePagePayload(
+          S->Kind, C.Code,
+          S->Kind == PayloadKind::FuncImage ? &PR.Labels : nullptr));
+      Rec.Pages.push_back(std::move(PR));
+    }
+    S->TotalPages += static_cast<uint32_t>(Chunks.size());
+    S->Funcs.push_back(std::move(Rec));
   }
   // Candidate chains for per-frame selection join the chain table after
   // the primary: every distinct candidate that parses and serves the
@@ -326,8 +296,7 @@ Result<std::vector<uint8_t>> CodeStore::trySave() {
   ByteWriter W;
   W.writeU32(ManifestMagic);
   W.writeU8(ManifestVersion);
-  W.writeU8((Paged ? ManifestFlagPaged : 0) |
-            (PerPage ? ManifestFlagChainTable : 0));
+  W.writeU8(ManifestFlagPageTable | (PerPage ? ManifestFlagChainTable : 0));
   // The claim a loader checks against the frames it can hash itself,
   // and trusts when it cannot. Written at a fixed offset (6) right
   // after magic/version/flags, so fault-injection tests can target it.
@@ -355,20 +324,17 @@ Result<std::vector<uint8_t>> CodeStore::trySave() {
   for (const FuncRecord &Rec : Funcs) {
     W.writeStr(Rec.Name);
     W.writeVarU(Rec.FrameSize);
-    if (Paged)
-      W.writeVarU(Rec.CodeLen);
+    W.writeVarU(Rec.CodeLen);
     W.writeVarU(Rec.LabelPos.size());
     for (uint32_t L : Rec.LabelPos)
       W.writeVarU(L);
-    if (Paged) {
-      W.writeVarU(Rec.Pages.size());
-      for (const PageRec &PR : Rec.Pages) {
-        W.writeVarU(PR.InstrCount);
-        if (Kind == PayloadKind::FuncImage) {
-          W.writeVarU(PR.Labels.size());
-          for (uint32_t L : PR.Labels)
-            W.writeVarU(L);
-        }
+    W.writeVarU(Rec.Pages.size());
+    for (const PageRec &PR : Rec.Pages) {
+      W.writeVarU(PR.InstrCount);
+      if (Kind == PayloadKind::FuncImage) {
+        W.writeVarU(PR.Labels.size());
+        for (uint32_t L : PR.Labels)
+          W.writeVarU(L);
       }
     }
   }
@@ -383,7 +349,7 @@ Result<std::vector<uint8_t>> CodeStore::trySave() {
     FetchMetrics M;
     FetchResult R = fetchWithRetry(*Source, I, Opts.Retry, M);
     if (!R.Ok) {
-      const std::string &Name = Funcs[Paged ? FrameFunc[I] : I].Name;
+      const std::string &Name = Funcs[FrameFunc[I]].Name;
       return DecodeError("store: save: fetch frame of '" + Name +
                          "' failed [" + fetchErrorKindName(R.Err) +
                          "]: " + R.Msg);
@@ -452,7 +418,8 @@ CodeStore::tryFromSource(std::unique_ptr<FrameSource> Src, StoreOptions Opts) {
     uint8_t Flags = R.readU8();
     if (Flags & ~ManifestFlagsKnown)
       decodeFail("store: unknown manifest flags");
-    S->Paged = (Flags & ManifestFlagPaged) != 0;
+    if (!(Flags & ManifestFlagPageTable))
+      decodeFail("store: manifest has no page table");
     const bool PerPage = (Flags & ManifestFlagChainTable) != 0;
     const uint64_t Claim = R.readU64();
     if (R.readU8() != bodyTag(S->Kind))
@@ -501,68 +468,65 @@ CodeStore::tryFromSource(std::unique_ptr<FrameSource> Src, StoreOptions Opts) {
       FuncRecord Rec;
       Rec.Name = R.readStr();
       Rec.FrameSize = R.readVarU32();
-      if (S->Paged)
-        Rec.CodeLen = R.readVarU32();
+      Rec.CodeLen = R.readVarU32();
       size_t NumLabels = R.readVarU();
       if (NumLabels > Manifest.size())
         decodeFail("store: inflated label count");
       Rec.LabelPos.reserve(NumLabels);
       for (size_t L = 0; L != NumLabels; ++L)
         Rec.LabelPos.push_back(R.readVarU32());
-      if (S->Paged) {
-        // The interpreter branches through this table before the page
-        // holding the target is decoded, so validate it here: every
-        // label must land inside the function (== CodeLen means a
-        // branch to the end, which traps cleanly).
-        for (uint32_t L : Rec.LabelPos)
-          if (L > Rec.CodeLen)
-            decodeFail("store: label past the end of '" + Rec.Name + "'");
-        size_t NumPages = R.readVarU();
-        if (NumPages == 0)
-          decodeFail("store: function '" + Rec.Name + "' has no pages");
-        if (NumPages > Manifest.size())
-          decodeFail("store: inflated page count");
-        Rec.FirstPage = S->TotalPages;
-        uint64_t Covered = 0;
-        Rec.Pages.reserve(NumPages);
-        for (size_t Pg = 0; Pg != NumPages; ++Pg) {
-          PageRec PR;
-          PR.FirstInstr = static_cast<uint32_t>(Covered);
-          PR.InstrCount = R.readVarU32();
-          if (PR.InstrCount == 0 && Rec.CodeLen != 0)
-            decodeFail("store: empty page in '" + Rec.Name + "'");
-          Covered += PR.InstrCount;
-          if (Covered > Rec.CodeLen)
-            decodeFail("store: page table of '" + Rec.Name +
-                       "' overruns the function");
-          if (S->Kind == PayloadKind::FuncImage) {
-            size_t NumPageLabels = R.readVarU();
-            if (NumPageLabels > Manifest.size())
-              decodeFail("store: inflated page label count");
-            PR.Labels.reserve(NumPageLabels);
-            for (size_t PL = 0; PL != NumPageLabels; ++PL) {
-              uint32_t L = R.readVarU32();
-              // Page labels index the function label table and must be
-              // strictly increasing (they are ranks' targets).
-              if (L >= NumLabels)
-                decodeFail("store: page label out of range in '" +
-                           Rec.Name + "'");
-              if (!PR.Labels.empty() && L <= PR.Labels.back())
-                decodeFail("store: unsorted page labels in '" + Rec.Name +
-                           "'");
-              PR.Labels.push_back(L);
-            }
-          }
-          Rec.Pages.push_back(std::move(PR));
-        }
-        if (Covered != Rec.CodeLen)
+      // The interpreter branches through this table before the page
+      // holding the target is decoded, so validate it here: every
+      // label must land inside the function (== CodeLen means a
+      // branch to the end, which traps cleanly).
+      for (uint32_t L : Rec.LabelPos)
+        if (L > Rec.CodeLen)
+          decodeFail("store: label past the end of '" + Rec.Name + "'");
+      size_t NumPages = R.readVarU();
+      if (NumPages == 0)
+        decodeFail("store: function '" + Rec.Name + "' has no pages");
+      if (NumPages > Manifest.size())
+        decodeFail("store: inflated page count");
+      Rec.FirstPage = S->TotalPages;
+      uint64_t Covered = 0;
+      Rec.Pages.reserve(NumPages);
+      for (size_t Pg = 0; Pg != NumPages; ++Pg) {
+        PageRec PR;
+        PR.FirstInstr = static_cast<uint32_t>(Covered);
+        PR.InstrCount = R.readVarU32();
+        if (PR.InstrCount == 0 && Rec.CodeLen != 0)
+          decodeFail("store: empty page in '" + Rec.Name + "'");
+        Covered += PR.InstrCount;
+        if (Covered > Rec.CodeLen)
           decodeFail("store: page table of '" + Rec.Name +
-                     "' does not cover the function");
-        uint64_t Total = uint64_t(S->TotalPages) + NumPages;
-        if (Total > Src->functionFrameCount())
-          decodeFail("store: manifest page count does not match frames");
-        S->TotalPages = static_cast<uint32_t>(Total);
+                     "' overruns the function");
+        if (S->Kind == PayloadKind::FuncImage) {
+          size_t NumPageLabels = R.readVarU();
+          if (NumPageLabels > Manifest.size())
+            decodeFail("store: inflated page label count");
+          PR.Labels.reserve(NumPageLabels);
+          for (size_t PL = 0; PL != NumPageLabels; ++PL) {
+            uint32_t L = R.readVarU32();
+            // Page labels index the function label table and must be
+            // strictly increasing (they are ranks' targets).
+            if (L >= NumLabels)
+              decodeFail("store: page label out of range in '" +
+                         Rec.Name + "'");
+            if (!PR.Labels.empty() && L <= PR.Labels.back())
+              decodeFail("store: unsorted page labels in '" + Rec.Name +
+                         "'");
+            PR.Labels.push_back(L);
+          }
+        }
+        Rec.Pages.push_back(std::move(PR));
       }
+      if (Covered != Rec.CodeLen)
+        decodeFail("store: page table of '" + Rec.Name +
+                   "' does not cover the function");
+      uint64_t Total = uint64_t(S->TotalPages) + NumPages;
+      if (Total > Src->functionFrameCount())
+        decodeFail("store: manifest page count does not match frames");
+      S->TotalPages = static_cast<uint32_t>(Total);
       S->Funcs.push_back(std::move(Rec));
     }
     // One chain index per frame, in frame order, after the function
@@ -634,7 +598,7 @@ CodeStore::tryFromSource(std::unique_ptr<FrameSource> Src, StoreOptions Opts) {
 //===----------------------------------------------------------------------===//
 
 CodeStore::FaultOutcome CodeStore::decodeFrame(uint32_t Id, FetchMetrics &M) {
-  const FuncRecord &Rec = Funcs[Paged ? FrameFunc[Id] : Id];
+  const FuncRecord &Rec = Funcs[FrameFunc[Id]];
   FetchResult Fetched = fetchWithRetry(*Source, Id, Opts.Retry, M);
   if (!Fetched.Ok)
     return DecodeError("store: fetch frame of '" + Rec.Name + "' failed [" +
@@ -647,49 +611,21 @@ CodeStore::FaultOutcome CodeStore::decodeFrame(uint32_t Id, FetchMetrics &M) {
       return R.error();
     Cur = R.take();
   }
-  std::shared_ptr<vm::VMFunction> F;
-  if (Paged) {
-    const PageRec &PR = Rec.Pages[Id - Rec.FirstPage];
-    Result<std::vector<vm::Instr>> Code =
-        pipeline::tryDecodePagePayload(Kind, Cur, PR.Labels);
-    if (!Code.ok())
-      return Code.error();
-    F = std::make_shared<vm::VMFunction>();
-    F->Code = Code.take();
-    if (F->Code.size() != PR.InstrCount)
-      return DecodeError("store: page of '" + Rec.Name +
-                         "' decoded to the wrong instruction count");
-    // The interpreter indexes the *function* label table unchecked.
-    for (const vm::Instr &In : F->Code)
-      if (vm::isBranch(In.Op) && In.Target >= Rec.LabelPos.size())
-        return DecodeError("store: branch to a missing label in '" +
-                           Rec.Name + "'");
-    return std::shared_ptr<const vm::VMFunction>(std::move(F));
-  }
-  if (Kind == PayloadKind::FuncImage) {
-    Result<vm::VMFunction> Img = pipeline::tryDecodeFuncImage(Cur);
-    if (!Img.ok())
-      return Img.error();
-    F = std::make_shared<vm::VMFunction>(Img.take());
-  } else {
-    Result<std::vector<vm::Instr>> Code = vm::tryDecodeFunction(Cur);
-    if (!Code.ok())
-      return Code.error();
-    F = std::make_shared<vm::VMFunction>();
-    F->Name = Rec.Name;
-    F->FrameSize = Rec.FrameSize;
-    F->LabelPos = Rec.LabelPos;
-    F->Code = Code.take();
-  }
-  // The interpreter indexes LabelPos[Target] unchecked; make malformed
-  // frames a typed error here, never UB there.
+  const PageRec &PR = Rec.Pages[Id - Rec.FirstPage];
+  Result<std::vector<vm::Instr>> Code =
+      pipeline::tryDecodePagePayload(Kind, Cur, PR.Labels);
+  if (!Code.ok())
+    return Code.error();
+  auto F = std::make_shared<vm::VMFunction>();
+  F->Code = Code.take();
+  if (F->Code.size() != PR.InstrCount)
+    return DecodeError("store: page of '" + Rec.Name +
+                       "' decoded to the wrong instruction count");
+  // The interpreter indexes the *function* label table unchecked.
   for (const vm::Instr &In : F->Code)
-    if (vm::isBranch(In.Op) && In.Target >= F->LabelPos.size())
+    if (vm::isBranch(In.Op) && In.Target >= Rec.LabelPos.size())
       return DecodeError("store: branch to a missing label in '" + Rec.Name +
                          "'");
-  for (uint32_t L : F->LabelPos)
-    if (L > F->Code.size())
-      return DecodeError("store: label past the end of '" + Rec.Name + "'");
   return std::shared_ptr<const vm::VMFunction>(std::move(F));
 }
 
@@ -744,7 +680,7 @@ CodeStore::FaultOutcome CodeStore::faultImpl(uint32_t Id, bool Pin,
   if (!Prefetch)
     // Heat accrues on every demand touch — hit or miss — so the signal
     // tracks the access pattern, not the cache's current luck.
-    Heat->touch(Id, Paged ? FrameFunc[Id] : Id);
+    Heat->touch(Id, FrameFunc[Id]);
   if (!Pin)
     return registryFault(Id, /*Pin=*/false, /*Held=*/0, Prefetch, nullptr);
 
@@ -787,8 +723,6 @@ Result<std::shared_ptr<const vm::VMFunction>> CodeStore::fault(uint32_t Id) {
   if (Id >= Funcs.size())
     return DecodeError("store: function id " + std::to_string(Id) +
                        " out of range");
-  if (!Paged)
-    return faultImpl(Id, /*Pin=*/false, /*Prefetch=*/false);
   return assembleFunction(Id, /*Pin=*/false);
 }
 
@@ -796,21 +730,6 @@ Result<vm::CodeSpan> CodeStore::faultSpan(uint32_t Fn, uint32_t Idx) {
   if (Fn >= Funcs.size())
     return DecodeError("store: function id " + std::to_string(Fn) +
                        " out of range");
-  vm::CodeSpan S;
-  if (!Paged) {
-    FaultOutcome R = faultImpl(Fn, /*Pin=*/false, /*Prefetch=*/false);
-    if (!R.ok())
-      return R.error();
-    std::shared_ptr<const vm::VMFunction> B = R.take();
-    S.Code = B->Code.data();
-    S.Begin = 0;
-    S.End = static_cast<uint32_t>(B->Code.size());
-    S.FuncLen = S.End;
-    S.Labels = &B->LabelPos;
-    S.Name = &B->Name;
-    S.Keep = std::move(B);
-    return S;
-  }
   const FuncRecord &Rec = Funcs[Fn];
   uint32_t K = pageIndexOf(Rec, Idx);
   FaultOutcome R = faultImpl(Rec.FirstPage + K, /*Pin=*/false,
@@ -819,6 +738,7 @@ Result<vm::CodeSpan> CodeStore::faultSpan(uint32_t Fn, uint32_t Idx) {
     return R.error();
   std::shared_ptr<const vm::VMFunction> B = R.take();
   const PageRec &PR = Rec.Pages[K];
+  vm::CodeSpan S;
   S.Code = B->Code.data();
   S.Begin = PR.FirstInstr;
   S.End = PR.FirstInstr + PR.InstrCount;
@@ -833,8 +753,6 @@ Result<std::shared_ptr<const vm::VMFunction>> CodeStore::pin(uint32_t Id) {
   if (Id >= Funcs.size())
     return DecodeError("store: function id " + std::to_string(Id) +
                        " out of range");
-  if (!Paged)
-    return faultImpl(Id, /*Pin=*/true, /*Prefetch=*/false);
   return assembleFunction(Id, /*Pin=*/true);
 }
 
@@ -850,10 +768,6 @@ void CodeStore::unpinEntry(uint32_t Id) {
 void CodeStore::unpin(uint32_t Id) {
   if (Id >= Funcs.size())
     return;
-  if (!Paged) {
-    unpinEntry(Id);
-    return;
-  }
   const FuncRecord &Rec = Funcs[Id];
   for (uint32_t K = 0; K != Rec.Pages.size(); ++K)
     unpinEntry(Rec.FirstPage + K);
@@ -899,11 +813,6 @@ void CodeStore::prefetch(const std::vector<uint32_t> &Ids, ThreadPool &Pool) {
   for (uint32_t Id : Ids) {
     if (Id >= Funcs.size())
       continue;
-    if (!Paged) {
-      if (!entryResident(Id))
-        Want.push_back(Id);
-      continue;
-    }
     const FuncRecord &Rec = Funcs[Id];
     for (uint32_t K = 0; K != Rec.Pages.size(); ++K)
       if (!entryResident(Rec.FirstPage + K))
@@ -928,24 +837,16 @@ uint32_t CodeStore::pageIndexOf(const FuncRecord &Rec, uint32_t Idx) {
 }
 
 uint32_t CodeStore::frameOf(uint32_t Fn, uint32_t Idx) const {
-  if (!Paged)
-    return Fn;
   const FuncRecord &Rec = Funcs[Fn];
   return Rec.FirstPage + pageIndexOf(Rec, Idx);
 }
 
 size_t CodeStore::estimatedDecodedCost(uint32_t FrameId) const {
-  if (Paged) {
-    // Exact: a decoded page body is bare code (decodeFrame leaves
-    // Name/LabelPos empty; the function-level tables live in Funcs).
-    const FuncRecord &Rec = Funcs[FrameFunc[FrameId]];
-    const PageRec &PR = Rec.Pages[FrameId - Rec.FirstPage];
-    return sizeof(vm::VMFunction) + size_t(PR.InstrCount) * sizeof(vm::Instr);
-  }
-  // Floor: the manifest records no code length for unpaged frames.
-  const FuncRecord &Rec = Funcs[FrameId];
-  return sizeof(vm::VMFunction) + Rec.Name.size() +
-         Rec.LabelPos.size() * sizeof(uint32_t);
+  // Exact: a decoded page body is bare code (decodeFrame leaves
+  // Name/LabelPos empty; the function-level tables live in Funcs).
+  const FuncRecord &Rec = Funcs[FrameFunc[FrameId]];
+  const PageRec &PR = Rec.Pages[FrameId - Rec.FirstPage];
+  return sizeof(vm::VMFunction) + size_t(PR.InstrCount) * sizeof(vm::Instr);
 }
 
 std::vector<uint32_t>
@@ -975,10 +876,9 @@ void CodeStore::initStaticSuccessors(const vm::VMProgram *P) {
   };
   for (uint32_t Fn = 0; Fn != Funcs.size(); ++Fn) {
     const FuncRecord &Rec = Funcs[Fn];
-    if (Paged)
-      // Fall-through: after page K the likely next fault is page K+1.
-      for (uint32_t K = 0; K + 1 < Rec.Pages.size(); ++K)
-        AddEdge(Rec.FirstPage + K, Rec.FirstPage + K + 1);
+    // Fall-through: after page K the likely next fault is page K+1.
+    for (uint32_t K = 0; K + 1 < Rec.Pages.size(); ++K)
+      AddEdge(Rec.FirstPage + K, Rec.FirstPage + K + 1);
     if (!P)
       continue;
     // Call edges from the code we are packing: the frame holding a CALL
@@ -988,8 +888,8 @@ void CodeStore::initStaticSuccessors(const vm::VMProgram *P) {
       const vm::Instr &In = F.Code[I];
       if (In.Op != vm::VMOp::CALL || In.Target >= Funcs.size())
         continue;
-      uint32_t From = Paged ? Rec.FirstPage + pageIndexOf(Rec, I) : Fn;
-      uint32_t To = Paged ? Funcs[In.Target].FirstPage : In.Target;
+      uint32_t From = Rec.FirstPage + pageIndexOf(Rec, I);
+      uint32_t To = Funcs[In.Target].FirstPage;
       if (From != To)
         AddEdge(From, To);
     }
@@ -1088,8 +988,6 @@ bool CodeStore::entryResident(uint32_t Id) const {
 bool CodeStore::isResident(uint32_t Id) const {
   if (Id >= Funcs.size())
     return false;
-  if (!Paged)
-    return entryResident(Id);
   const FuncRecord &Rec = Funcs[Id];
   for (uint32_t K = 0; K != Rec.Pages.size(); ++K)
     if (!entryResident(Rec.FirstPage + K))

@@ -36,31 +36,32 @@
 ///     side alone. resetStats() clears this tenant's counters and only
 ///     touches the registry's when it is private.
 ///
-/// Fault granularity. By default a frame is one whole function. With
-/// StoreOptions::PageTargetBytes set, build() splits each function at
-/// branch-label boundaries into basic blocks, greedily packs adjacent
-/// blocks into *pages* of roughly that many fixed-width code bytes, and
-/// compresses each page as its own frame; the manifest carries a
-/// per-function page table. The cache then faults, evicts, pins, and
-/// single-flights at page granularity: faultSpan() decodes only the page
-/// holding the requested instruction (the vm::FunctionResolver hook the
-/// interpreter drives), while fault() assembles the full body from its
-/// pages — byte-identical to what an unpaged store would decode.
+/// Fault granularity. Every frame is a *page*: a run of whole basic
+/// blocks of one function, compressed as bare code, with the function's
+/// name, frame size and label table kept in the manifest's page table.
+/// build() splits each function at branch-label boundaries and greedily
+/// packs adjacent blocks into pages of roughly
+/// StoreOptions::PageTargetBytes fixed-width code bytes; a target of 0
+/// never cuts, so each function is exactly one page. The cache faults,
+/// evicts, pins, and single-flights pages: faultSpan() decodes only the
+/// page holding the requested instruction (the vm::FunctionResolver hook
+/// the interpreter drives), while fault() assembles a fresh full body
+/// from its pages.
 ///
 /// Frames are produced by any registered pipeline::Codec chain whose
 /// first codec accepts per-function payloads (Raw, FixedCode or
 /// FuncImage). Module-granularity codecs (wire) cannot represent a
 /// single function and are rejected at build/load time with a clear
 /// error. The on-disk form is a standard CCPK container whose frame 0 is
-/// the store manifest and whose frames 1..N are the compressed bodies
-/// (functions, or pages in manifest order). There is one manifest
-/// layout, version 3: magic, version, a flags byte, the container's
-/// content-hash claim, the body kind, then the globals/entry skeleton
-/// and the per-function headers. Flag bit 0 marks a paged container
-/// (per-function page tables follow each header); flag bit 1 marks a
-/// per-frame chain table. The loader refuses every other version byte
-/// and every unknown flag bit with a typed error; there is no legacy
-/// layout to fall back to.
+/// the store manifest and whose frames 1..N are the compressed pages in
+/// manifest order. There is one manifest layout, version 3: magic,
+/// version, a flags byte, the container's content-hash claim, the body
+/// kind, then the globals/entry skeleton and the per-function headers.
+/// Flag bit 0 marks the page table (each header carries its code length
+/// and page extents) and is required: a manifest without it fails typed.
+/// Flag bit 1 marks a per-frame chain table. The loader refuses every
+/// other version byte and every unknown flag bit with a typed error;
+/// there is no legacy layout to fall back to.
 ///
 /// Per-frame codec selection. Every store holds one chain table whose
 /// entry 0 is the container's chain, plus the index of the chain that
@@ -143,24 +144,23 @@ struct StoreOptions {
   /// shards than leave each shard's budget room for the largest frame.
   unsigned Shards = 8;
   unsigned BuildJobs = 1; ///< Compression fan-out in build().
-  /// build() only: when nonzero, split functions at basic-block
-  /// boundaries into pages of at most this many fixed-width code bytes
-  /// (an oversized single block still forms one page) and compress each
-  /// page as its own frame. Zero keeps whole-function frames. Loading
-  /// infers the granularity from the container's manifest.
+  /// build() only: split functions at basic-block boundaries into pages
+  /// of at most this many fixed-width code bytes (an oversized single
+  /// block still forms one page) and compress each page as its own
+  /// frame. Zero means one page per function. Loading reads the pages
+  /// from the container's manifest.
   size_t PageTargetBytes = 0;
   /// build() only: additional candidate chain specs for per-frame codec
-  /// selection. When non-empty, every frame (page or whole function) is
-  /// trial-encoded through the primary chain *and* each candidate, and
-  /// the smallest verified frame wins (pipeline::selectChainsPerItem).
-  /// Candidates must exist in the registry and serve the same manifest
-  /// body kind as the primary chain (FuncImage chains pair only with
-  /// FuncImage candidates; Raw and FixedCode mix freely — their
-  /// payloads are the same bytes). The selection is a pure
-  /// compressed-size comparison, so it is deterministic. A non-uniform
-  /// selection is written as the manifest's per-frame chain table; when
-  /// every frame picks the primary chain the container is bit-identical
-  /// to a build without candidates.
+  /// selection. When non-empty, every page is trial-encoded through the
+  /// primary chain *and* each candidate, and the smallest verified frame
+  /// wins (pipeline::selectChainsPerItem). Candidates must exist in the
+  /// registry and serve the same manifest body kind as the primary chain
+  /// (FuncImage chains pair only with FuncImage candidates; Raw and
+  /// FixedCode mix freely — their payloads are the same bytes). The
+  /// selection is a pure compressed-size comparison, so it is
+  /// deterministic. A non-uniform selection is written as the manifest's
+  /// per-frame chain table; when every frame picks the primary chain the
+  /// container is bit-identical to a build without candidates.
   std::vector<std::string> CandidateChains;
   /// How frame fetches behave on a flaky source (ignored by sources that
   /// cannot fail transiently).
@@ -187,8 +187,7 @@ struct StoreOptions {
 /// (Decodes/PrefetchDecodes/DecodeNanos/DecodedBytes/Evictions) and the
 /// gauges come from the registry, so under a shared registry they
 /// aggregate every tenant (the decode ran once — it is counted once).
-/// Hits/Misses/Decodes count cache entries — whole functions, or pages
-/// for a paged store.
+/// Hits/Misses/Decodes count cache entries, which are pages.
 struct StoreStats {
   uint64_t Hits = 0;
   uint64_t Misses = 0;            ///< Demand faults (cold or re-fetch after evict).
@@ -212,8 +211,8 @@ struct StoreStats {
   uint64_t FetchVirtualNanos = 0; ///< Virtual link clock: transfer + backoff.
   // Gauges (current state, unaffected by resetStats; registry-global).
   uint64_t ResidentBytes = 0;
-  uint64_t ResidentFunctions = 0; ///< Resident cache entries (functions or pages).
-  uint64_t PinnedFunctions = 0;   ///< Pinned cache entries (functions or pages).
+  uint64_t ResidentFunctions = 0; ///< Resident cache entries (pages).
+  uint64_t PinnedFunctions = 0;   ///< Pinned cache entries (pages).
 
   double hitRate() const {
     uint64_t Total = Hits + Misses;
@@ -227,8 +226,8 @@ struct StoreStats {
 /// one shared registry.
 class CodeStore {
 public:
-  /// Compresses every function of \p P through \p ChainSpec (splitting
-  /// into pages first when Opts.PageTargetBytes is set). Returns null
+  /// Splits every function of \p P into pages (Opts.PageTargetBytes) and
+  /// compresses each through \p ChainSpec. Returns null
   /// and sets \p Error if the chain does not exist, cannot serve
   /// per-function frames (module-granularity first codec), or the
   /// shared registry refuses the module (hash-collision shape check).
@@ -292,16 +291,11 @@ public:
     return ChainSpecs[FrameChain[Id]];
   }
 
-  /// True when this store serves sub-function pages (built with
-  /// PageTargetBytes, or loaded from a paged container).
-  bool paged() const { return Paged; }
-  /// Total frames behind the source: pages when paged, else functions.
-  uint32_t frameCount() const {
-    return Paged ? TotalPages : functionCount();
-  }
-  /// Number of pages function \p Id was split into (1 when not paged).
+  /// Total frames (pages) behind the source.
+  uint32_t frameCount() const { return TotalPages; }
+  /// Number of pages function \p Id was split into.
   uint32_t pageCountOf(uint32_t Id) const {
-    return Paged ? static_cast<uint32_t>(Funcs[Id].Pages.size()) : 1;
+    return static_cast<uint32_t>(Funcs[Id].Pages.size());
   }
 
   /// Where this store's frames come from.
@@ -330,27 +324,27 @@ public:
 
   /// The fault path: returns the decoded function, decoding each frame
   /// at most once no matter how many threads — or tenants — fault it
-  /// concurrently. On a paged store this assembles the body from its
-  /// pages (faulting every page in) — byte-identical to the unpaged
-  /// decode. A corrupt frame fails this call (and every retry) with a
-  /// typed error; other functions stay servable.
+  /// concurrently. The body is assembled afresh from the function's
+  /// pages (faulting every page in), so two calls return equal bodies,
+  /// not the same object. A corrupt frame fails this call (and every
+  /// retry) with a typed error; other functions stay servable.
   Result<std::shared_ptr<const vm::VMFunction>> fault(uint32_t Id);
 
   /// Page-granular fault: decodes only the page of function \p Fn
-  /// holding instruction \p Idx and returns it as an executable span
-  /// (whole body when not paged). An \p Idx past the end of the
+  /// holding instruction \p Idx and returns it as an executable span; the
+  /// span's Keep is the cached page body. An \p Idx past the end of the
   /// function clamps to the last page, so the interpreter can trap on
   /// the out-of-range Pc itself.
   Result<vm::CodeSpan> faultSpan(uint32_t Fn, uint32_t Idx);
 
-  /// Faults \p Id in and marks it pinned (every page of it, when
-  /// paged); pinned entries are never evicted. Pins are per tenant: two stores pinning
+  /// Faults \p Id in and marks every page of it pinned; pinned entries
+  /// are never evicted. Pins are per tenant: two stores pinning
   /// the same shared frame hold independent references, and unpin
   /// releases only this store's.
   Result<std::shared_ptr<const vm::VMFunction>> pin(uint32_t Id);
   void unpin(uint32_t Id);
 
-  /// Warms \p Ids (function ids; all their pages when paged) through
+  /// Warms \p Ids (function ids; all their pages) through
   /// \p Pool; call Pool.wait() to block until done. Prefetch warms are
   /// accounted as PrefetchDecodes, never as demand Hits/Misses. Decode
   /// failures are absorbed into the DecodeErrors counter. The wave is
@@ -361,8 +355,7 @@ public:
   void prefetch(const std::vector<uint32_t> &Ids, ThreadPool &Pool);
 
   /// The frame serving instruction \p Idx of function \p Fn: the page
-  /// holding it when paged (out-of-range \p Idx clamps like faultSpan),
-  /// the function frame otherwise.
+  /// holding it (out-of-range \p Idx clamps like faultSpan).
   uint32_t frameOf(uint32_t Fn, uint32_t Idx) const;
 
   /// Digests \p T into the predictive successor graph: consecutive
@@ -396,11 +389,9 @@ public:
   /// predicted is resident or pending.
   void prefetchPredicted(uint32_t Fn, uint32_t Idx, ThreadPool &Pool);
 
-  /// Decoded-bytes estimate for one frame before decoding it: exact for
-  /// pages (the manifest carries the instruction count and page bodies
-  /// have no name/label table), a floor for whole-function frames (the
-  /// manifest does not record unpaged code length). Admission clamping
-  /// is advisory either way.
+  /// Decoded-bytes cost of one frame before decoding it. Exact: the
+  /// manifest carries each page's instruction count, and page bodies
+  /// have no name or label table.
   size_t estimatedDecodedCost(uint32_t FrameId) const;
 
   /// Longest prefix of \p Frames whose summed estimated decoded cost
@@ -409,8 +400,8 @@ public:
   /// so one frame is always admissible.
   std::vector<uint32_t> clampToAdmission(std::vector<uint32_t> Frames) const;
 
-  /// True if \p Id (every page of it, when paged) is decoded and
-  /// resident right now (no LRU effect).
+  /// True if every page of \p Id is decoded and resident right now (no
+  /// LRU effect).
   bool isResident(uint32_t Id) const;
 
   /// This tenant's traffic counters merged with the registry's decode
@@ -444,9 +435,9 @@ private:
   void indexPages();
 
   using FaultOutcome = Result<std::shared_ptr<const vm::VMFunction>>;
-  /// Faults one cache entry (a function frame, or a page frame when
-  /// paged). \p Prefetch suppresses the demand Hit/Miss/wait counters
-  /// and counts successful decodes as PrefetchDecodes.
+  /// Faults one cache entry (a page frame). \p Prefetch suppresses the
+  /// demand Hit/Miss/wait counters and counts successful decodes as
+  /// PrefetchDecodes.
   FaultOutcome faultImpl(uint32_t Id, bool Pin, bool Prefetch);
   /// The registry round trip for one frame: fetch+decode callback,
   /// traffic attribution, pin-generation bookkeeping. \p Held is the
@@ -481,17 +472,14 @@ private:
     std::vector<uint32_t> Labels;
   };
 
-  /// One compressed function's manifest header: what decodeFrame needs
-  /// to reassemble a VMFunction when the payload is code-only. The
-  /// frames themselves live in the FrameSource.
+  /// One function's manifest header and page table: everything a
+  /// VMFunction holds except its code, which lives in the page frames
+  /// behind the FrameSource.
   struct FuncRecord {
     std::string Name;
     uint32_t FrameSize = 0;
-    std::vector<uint32_t> LabelPos; ///< Empty for unpaged FuncImage payloads.
-    /// Total instruction count. A paged manifest records it; an unpaged
-    /// one does not, so only build() knows it for unpaged stores.
-    uint32_t CodeLen = 0;
-    // Paged stores only:
+    std::vector<uint32_t> LabelPos;
+    uint32_t CodeLen = 0;   ///< Total instruction count.
     uint32_t FirstPage = 0; ///< Frame id of this function's first page.
     std::vector<PageRec> Pages;
   };
@@ -527,9 +515,8 @@ private:
   pipeline::PayloadKind Kind = pipeline::PayloadKind::FuncImage;
   vm::VMProgram Skel;
   std::vector<FuncRecord> Funcs;
-  bool Paged = false;
   uint32_t TotalPages = 0;
-  std::vector<uint32_t> FrameFunc; ///< Frame id -> owning function (paged).
+  std::vector<uint32_t> FrameFunc; ///< Frame id -> owning function.
   std::unique_ptr<FrameSource> Source;
 
   StoreOptions Opts;

@@ -122,13 +122,12 @@ struct FrameKeyHasher {
 /// manifest and rejected typed before it can touch the cache.
 struct ModuleIdent {
   std::string ChainSpec;
-  uint32_t FrameCount = 0; ///< Pages when paged, else functions.
+  uint32_t FrameCount = 0; ///< Pages.
   uint32_t FuncCount = 0;
-  bool Paged = false;
 
   bool operator==(const ModuleIdent &O) const {
     return ChainSpec == O.ChainSpec && FrameCount == O.FrameCount &&
-           FuncCount == O.FuncCount && Paged == O.Paged;
+           FuncCount == O.FuncCount;
   }
 };
 

@@ -51,10 +51,10 @@ public:
   std::shared_ptr<const vm::VMFunction> resolve(uint32_t Fn,
                                                 std::string &Err) override;
 
-  /// Page-granular resolve: on a paged store only the page holding \p
-  /// Idx is decoded (hot pages of the same function stay resident while
-  /// cold ones fault on first touch); otherwise this is the whole body.
-  /// Then warms the predicted successors when a prefetch pool was given.
+  /// Page-granular resolve: only the page holding \p Idx is decoded
+  /// (hot pages of the same function stay resident while cold ones
+  /// fault on first touch). Then warms the predicted successors when a
+  /// prefetch pool was given.
   bool resolveSpan(uint32_t Fn, uint32_t Idx, vm::CodeSpan &Out,
                    std::string &Err) override;
 

@@ -259,6 +259,7 @@ TEST(FaultInjection, BwtDictRejectsDuplicateNewSymbolBomb) {
 
 namespace {
 
+/// A store image at the default page target: one page per function.
 std::vector<uint8_t> storeImage(const vm::VMProgram &P,
                                 const std::string &Chain) {
   std::string Err;
@@ -268,14 +269,15 @@ std::vector<uint8_t> storeImage(const vm::VMProgram &P,
   return S->save();
 }
 
-/// Loads a (possibly corrupt) store and faults every function: true
-/// only if everything decoded cleanly.
+/// Loads a (possibly corrupt) store and faults every function, both
+/// assembled and as its first page's span: true only if everything
+/// decoded cleanly.
 bool faultAll(Result<std::unique_ptr<store::CodeStore>> L) {
   if (!L.ok())
     return false;
   std::unique_ptr<store::CodeStore> S = L.take();
   for (uint32_t I = 0; I != S->functionCount(); ++I)
-    if (!S->fault(I).ok())
+    if (!S->fault(I).ok() || !S->faultSpan(I, 0).ok())
       return false;
   return true;
 }
@@ -312,10 +314,11 @@ TEST(FaultInjection, StoreFileSurvivesCorruptionOnDisk) {
   sweep(Img, 5100, OpenCorrupt, "store tryOpenFile");
 }
 
-// Paged containers (manifest flag bit 0): the per-function page table is
-// attacker-controlled input too. Seeded corruption of the whole image
-// must stay recoverable through load, whole-function assembly, and
-// page-granular spans.
+// Many pages per function: the per-function page table is
+// attacker-controlled input too, and a dense one has many more entries
+// to corrupt than one page per function. Seeded corruption of the whole
+// image must stay recoverable through load, whole-function assembly,
+// and page-granular spans.
 TEST(FaultInjection, PagedStoreContainerSurvivesCorruption) {
   vm::VMProgram P = buildVM(syntheticSource(8));
   for (const char *Chain : {"flate", "brisc+flate"}) {
@@ -352,14 +355,14 @@ TEST(FaultInjection, PagedStoreContainerSurvivesCorruption) {
 
 namespace {
 
-/// Writes the fixed head of a paged store manifest: magic, version 3,
-/// the paged flag, a zero content-hash claim (a private in-memory load
-/// re-hashes the frames itself) and \p BodyTag — 1 for fixed-code chains
-/// (flate), 0 for function images.
+/// Writes the fixed head of a store manifest: magic, version 3, the
+/// required page-table flag, a zero content-hash claim (a private
+/// in-memory load re-hashes the frames itself) and \p BodyTag — 1 for
+/// fixed-code chains (flate), 0 for function images.
 void writePagedManifestHead(ByteWriter &W, uint8_t BodyTag) {
   W.writeU32(0x4D534343); // CCSM
   W.writeU8(3);           // manifest version
-  W.writeU8(1);           // flags: paged
+  W.writeU8(1);           // flags: page table
   W.writeU64(0);          // content-hash claim
   W.writeU8(BodyTag);
 }
@@ -710,7 +713,7 @@ TEST(FaultInjection, SharedRegistryLoadSurvivesContainerCorruption) {
       store::CodeStore::tryLoad(Img, Shared);
   ASSERT_TRUE(GoodL.ok()) << GoodL.error().message();
   std::unique_ptr<store::CodeStore> Good = GoodL.take();
-  Result<std::shared_ptr<const vm::VMFunction>> Baseline = Good->fault(0);
+  Result<vm::CodeSpan> Baseline = Good->faultSpan(0, 0);
   ASSERT_TRUE(Baseline.ok());
 
   sweep(Img, 5300, [&](const std::vector<uint8_t> &Bad) {
@@ -720,11 +723,11 @@ TEST(FaultInjection, SharedRegistryLoadSurvivesContainerCorruption) {
   // Whatever corrupt containers managed to load registered under their
   // *own* computed hashes: the good module's resident frame is still
   // the same object, byte for byte.
-  Result<std::shared_ptr<const vm::VMFunction>> After = Good->fault(0);
+  Result<vm::CodeSpan> After = Good->faultSpan(0, 0);
   ASSERT_TRUE(After.ok());
-  EXPECT_EQ(After.value().get(), Baseline.value().get())
+  EXPECT_EQ(After.value().Keep.get(), Baseline.value().Keep.get())
       << "a corrupt container displaced a good tenant's resident frame";
-  EXPECT_EQ(After.value()->Code.size(), P.Functions[0].Code.size());
+  EXPECT_EQ(After.value().Keep->Code.size(), P.Functions[0].Code.size());
 }
 
 // A corrupt length prefix must never turn into an allocation: every

@@ -6,8 +6,9 @@
 //
 // The paged store's promises: execution out of page-granular faults is
 // byte-for-byte identical to eager full decode for every per-function
-// codec, at any page-size target and any budget; a function assembled
-// from its pages equals the unpaged store's decode exactly; pinned pages
+// codec, at any page-size target and any budget, built or loaded; a
+// function assembled from its pages equals the eager function exactly
+// (after the function-image canonicalization for image chains); pinned pages
 // survive eviction; N concurrent faults on one page perform exactly one
 // decode; and a corrupt page fails its own faults recoverably while the
 // function's other pages — and every other function — stay servable.
@@ -28,6 +29,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <thread>
 
 using namespace ccomp;
@@ -36,7 +38,7 @@ using namespace ccomp::test;
 
 namespace {
 
-const size_t PageTargets[] = {64, 256, 4096, 0}; // 0 = whole function.
+const size_t PageTargets[] = {64, 256, 4096, 0}; // 0 = a page per function.
 
 const char *const PerFunctionChains[] = {
     "flate",     "vm-compact", "brisc",          "brisc+flate",
@@ -125,8 +127,12 @@ TEST(PagedStore, ExecutionMatchesEagerAtAnyPageSizeAndBudget) {
         Opts.CacheBudgetBytes = Budget;
         std::unique_ptr<CodeStore> S = mustBuildStore(P, Chain, Opts);
         ASSERT_NE(S, nullptr);
-        EXPECT_EQ(S->paged(), Target != 0) << "0 keeps whole-function frames";
-        EXPECT_GE(S->frameCount(), S->functionCount());
+        if (Target == 0) {
+          EXPECT_EQ(S->frameCount(), S->functionCount())
+              << "0 keeps each function on one page";
+        } else {
+          EXPECT_GE(S->frameCount(), S->functionCount());
+        }
 
         vm::RunResult R = runFromStore(*S);
         std::string Ctx = std::string(Chain) + " target=" +
@@ -148,59 +154,102 @@ TEST(PagedStore, ExecutionMatchesEagerAtAnyPageSizeAndBudget) {
   // decoded/8 would give each of 8 shards ~760 B, so no large frame
   // could stay resident and every touch of it would decode again. The
   // private registry takes no more shards than leave each share room
-  // for the largest frame, so faults equal a one-shard store's.
+  // for the largest frame, so faults equal a one-shard store's — for
+  // the built store, and for the saved container opened from memory
+  // and from a file, whose manifest carries every page's exact cost.
   vm::VMProgram Suite = suiteProgram();
   vm::RunResult SuiteEager = vm::runProgram(Suite);
   ASSERT_TRUE(SuiteEager.Ok) << SuiteEager.Trap;
   size_t Decoded = 0;
   for (const vm::VMFunction &F : Suite.Functions)
     Decoded += decodedCostBytes(F);
+  const std::string Path = testing::TempDir() + "ccomp_shard_split.ccpk";
   for (size_t Target : {size_t(0), size_t(4096)}) {
-    uint64_t Faults[2] = {0, 0};
-    for (unsigned Shards : {1u, StoreOptions().Shards}) {
-      StoreOptions Opts;
-      Opts.PageTargetBytes = Target;
-      Opts.CacheBudgetBytes = Decoded / 8;
-      Opts.Shards = Shards;
-      std::unique_ptr<CodeStore> S = mustBuildStore(Suite, "brisc+flate", Opts);
-      ASSERT_NE(S, nullptr);
+    StoreOptions Opts;
+    Opts.PageTargetBytes = Target;
+    Opts.CacheBudgetBytes = Decoded / 8;
+    Opts.Shards = 1;
+    std::unique_ptr<CodeStore> One = mustBuildStore(Suite, "brisc+flate", Opts);
+    ASSERT_NE(One, nullptr);
+    std::vector<uint8_t> Image = One->save();
+    {
+      std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+      Out.write(reinterpret_cast<const char *>(Image.data()),
+                static_cast<std::streamsize>(Image.size()));
+    }
+    Opts.Shards = StoreOptions().Shards;
+    std::unique_ptr<CodeStore> Built =
+        mustBuildStore(Suite, "brisc+flate", Opts);
+    ASSERT_NE(Built, nullptr);
+    Result<std::unique_ptr<CodeStore>> Loaded = CodeStore::tryLoad(Image, Opts);
+    ASSERT_TRUE(Loaded.ok()) << Loaded.error().message();
+    Result<std::unique_ptr<CodeStore>> Opened =
+        CodeStore::tryOpenFile(Path, Opts);
+    ASSERT_TRUE(Opened.ok()) << Opened.error().message();
+
+    const std::pair<const char *, CodeStore *> Stores[] = {
+        {"one shard", One.get()},
+        {"built", Built.get()},
+        {"tryLoad", Loaded.value().get()},
+        {"tryOpenFile", Opened.value().get()}};
+    uint64_t OneShardFaults = 0;
+    for (const auto &[Name, S] : Stores) {
       vm::RunResult R = runFromStore(*S);
-      std::string Ctx = "suite target=" + std::to_string(Target) +
-                        " shards=" + std::to_string(Shards);
+      std::string Ctx = "suite target=" + std::to_string(Target) + " " + Name;
       EXPECT_TRUE(R.Ok) << Ctx << ": " << R.Trap;
       EXPECT_EQ(R.ExitCode, SuiteEager.ExitCode) << Ctx;
       EXPECT_EQ(R.Output, SuiteEager.Output) << Ctx;
       EXPECT_EQ(R.Steps, SuiteEager.Steps) << Ctx;
-      Faults[Shards != 1] = S->stats().Misses;
+      if (S == One.get()) {
+        OneShardFaults = S->stats().Misses;
+      } else {
+        EXPECT_EQ(S->stats().Misses, OneShardFaults)
+            << Ctx << ": default shards vs one shard";
+      }
     }
-    EXPECT_EQ(Faults[1], Faults[0])
-        << "target=" << Target << ": default shards vs one shard";
   }
 }
 
-// fault(Fn) on a paged store assembles the body from its pages; the
-// result must equal the unpaged store's decode of the same function
-// exactly — name, frame size, label table, and every instruction.
-TEST(PagedStore, AssembledFunctionMatchesUnpagedDecode) {
+// fault(Fn) assembles the body from its pages; the result must equal
+// the eager function exactly — name, frame size, label table, and every
+// instruction — at one page per function and at many. Image chains
+// store the function-image canonical form (sorted, deduplicated label
+// table), so their reference is the eager function after that round
+// trip; code-only chains keep the eager function as it is.
+TEST(PagedStore, AssembledFunctionMatchesEagerFunction) {
   vm::VMProgram P = buildVM(syntheticSource(8));
   for (const char *Chain : PerFunctionChains) {
-    std::unique_ptr<CodeStore> Whole =
-        mustBuildStore(P, Chain, StoreOptions());
-    StoreOptions PagedOpts;
-    PagedOpts.PageTargetBytes = 64; // Small pages: many per function.
-    std::unique_ptr<CodeStore> Paged = mustBuildStore(P, Chain, PagedOpts);
-    ASSERT_NE(Whole, nullptr);
-    ASSERT_NE(Paged, nullptr);
-    EXPECT_GT(Paged->frameCount(), Paged->functionCount())
-        << Chain << ": 64-byte pages must split some function";
+    std::string Err;
+    std::vector<const pipeline::Codec *> Codecs =
+        pipeline::parseChain(Chain, Err);
+    ASSERT_FALSE(Codecs.empty()) << Chain << ": " << Err;
+    const bool Image =
+        Codecs.front()->payloadKind() == pipeline::PayloadKind::FuncImage;
+    for (size_t Target : {size_t(0), size_t(64)}) {
+      StoreOptions Opts;
+      Opts.PageTargetBytes = Target;
+      std::unique_ptr<CodeStore> S = mustBuildStore(P, Chain, Opts);
+      ASSERT_NE(S, nullptr);
+      std::string Ctx =
+          std::string(Chain) + " target=" + std::to_string(Target);
+      if (Target == 64) {
+        EXPECT_GT(S->frameCount(), S->functionCount())
+            << Ctx << ": 64-byte pages must split some function";
+      }
 
-    for (uint32_t I = 0; I != P.Functions.size(); ++I) {
-      Result<std::shared_ptr<const vm::VMFunction>> A = Whole->fault(I);
-      Result<std::shared_ptr<const vm::VMFunction>> B = Paged->fault(I);
-      ASSERT_TRUE(A.ok()) << Chain << ": " << A.error().message();
-      ASSERT_TRUE(B.ok()) << Chain << ": " << B.error().message();
-      expectSameFunction(*A.value(), *B.value(),
-                         std::string(Chain) + " fn " + std::to_string(I));
+      for (uint32_t I = 0; I != P.Functions.size(); ++I) {
+        vm::VMFunction Want = P.Functions[I];
+        if (Image) {
+          Result<vm::VMFunction> C =
+              pipeline::tryDecodeFuncImage(pipeline::encodeFuncImage(Want));
+          ASSERT_TRUE(C.ok()) << Ctx << ": " << C.error().message();
+          Want = C.take();
+        }
+        Result<std::shared_ptr<const vm::VMFunction>> Got = S->fault(I);
+        ASSERT_TRUE(Got.ok()) << Ctx << ": " << Got.error().message();
+        expectSameFunction(*Got.value(), Want,
+                           Ctx + " fn " + std::to_string(I));
+      }
     }
   }
 }
@@ -216,13 +265,13 @@ TEST(PagedStore, SaveLoadRoundTripKeepsPageGranularity) {
   ASSERT_NE(S, nullptr);
   std::vector<uint8_t> Image = S->save();
 
-  // Loading infers page granularity from the manifest flags: the
-  // options carry no page target.
+  // Loading reads the page table from the manifest: the options carry
+  // no page target.
   Result<std::unique_ptr<CodeStore>> Back =
       CodeStore::tryLoad(Image, StoreOptions());
   ASSERT_TRUE(Back.ok()) << Back.error().message();
   std::unique_ptr<CodeStore> L = Back.take();
-  EXPECT_TRUE(L->paged());
+  EXPECT_GT(L->frameCount(), L->functionCount());
   EXPECT_EQ(L->frameCount(), S->frameCount());
   EXPECT_EQ(L->functionCount(), S->functionCount());
   for (uint32_t I = 0; I != L->functionCount(); ++I)
@@ -423,8 +472,8 @@ TEST(PagedStore, CorruptPageFailsRecoverablyOtherPagesServable) {
 // The granularity payoff (EXPERIMENTS E7): the wep class's largest
 // function spans several 4 KiB pages, and spinning in its hot loop under
 // a budget of that one function's decoded size leaves strictly fewer
-// decoded bytes resident page-granular than function-granular, because
-// only the loop's page has to stay in.
+// decoded bytes resident at 4 KiB pages than at one page per function,
+// because only the loop's page has to stay in.
 TEST(PagedStore, HotLoopResidencyBelowFunctionGranular) {
   const size_t PageTarget = 4096;
   vm::VMProgram P = buildVM(corpus::sizeClassSource("wep"));
@@ -473,8 +522,8 @@ TEST(PagedStore, HotLoopResidencyBelowFunctionGranular) {
   uint64_t WholeResident = residentAfterHotLoop(0);
   EXPECT_GT(PagedResident, 0u);
   EXPECT_LT(PagedResident, WholeResident)
-      << "page-granular residency must be strictly below "
-         "function-granular (16024 < 16400 B when recorded)";
+      << "4 KiB-page residency must be strictly below one page per "
+         "function (16024 < 16384 B when recorded)";
 }
 
 } // namespace

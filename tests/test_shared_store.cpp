@@ -356,13 +356,13 @@ TEST(SharedStore, DifferentModulesNeverShareFrames) {
   ASSERT_NE(B, nullptr);
   EXPECT_EQ(Reg->stats().Modules, 2u);
 
-  Result<std::shared_ptr<const vm::VMFunction>> FA = A->fault(0);
-  Result<std::shared_ptr<const vm::VMFunction>> FB = B->fault(0);
+  Result<vm::CodeSpan> FA = A->faultSpan(0, 0);
+  Result<vm::CodeSpan> FB = B->faultSpan(0, 0);
   ASSERT_TRUE(FA.ok());
   ASSERT_TRUE(FB.ok());
   // Same frame id, two decodes: the keys cannot collide across hashes.
   EXPECT_EQ(Reg->stats().Decodes, 2u);
-  EXPECT_NE(FA.value().get(), FB.value().get());
+  EXPECT_NE(FA.value().Keep.get(), FB.value().Keep.get());
 }
 
 // A same-hash registration with a different shape is a forged or
@@ -417,9 +417,11 @@ TEST(SharedStore, DoctoredHashClaimRefusedSharedAcceptedPrivate) {
 
 // The loader accepts one manifest layout. Retired version bytes (1 and
 // 2 carried no hash claim; 4 was the per-frame chain table, now a flag
-// bit) and versions never written fail typed, as do unknown flag bits —
-// from memory and from a file, privately and at a shared registry's
-// door, whole-function and paged. The asan preset checks the parse.
+// bit) and versions never written fail typed, as do unknown flag bits
+// and a manifest without the page table (flag bit 0 clear: the retired
+// whole-function layout) — from memory and from a file, privately and
+// at a shared registry's door, at one page per function and at many.
+// The asan preset checks the parse.
 TEST(SharedStore, RetiredManifestLayoutsRefusedTyped) {
   vm::VMProgram P = buildVM(syntheticSource(4));
   const std::string Path = testing::TempDir() + "ccomp_retired_store.ccpk";
@@ -438,6 +440,9 @@ TEST(SharedStore, RetiredManifestLayoutsRefusedTyped) {
     for (uint8_t Flags : {0x04, 0x80})
       Bad.push_back({patchManifestByte(Image, 5, Flags),
                      "unknown manifest flags"});
+    for (uint8_t Flags : {0x00, 0x02})
+      Bad.push_back({patchManifestByte(Image, 5, Flags),
+                     "manifest has no page table"});
 
     for (const auto &[Bytes, Needle] : Bad) {
       writeFile(Path, Bytes);

@@ -115,32 +115,3 @@ TEST(Paging, TotalTimeModel) {
   EXPECT_NEAR(T.PagingSeconds, 10 * D.FaultSeconds, 1e-12);
   EXPECT_NEAR(T.total(), 2.0 + 10 * D.FaultSeconds, 1e-12);
 }
-
-// The one store time model: a seek per fault and measured decode on the
-// CPU. It replaced the whole-function and shared-registry variants, so
-// it must reproduce both exactly.
-TEST(Paging, StoreTotalTimeModel) {
-  DiskModel D;
-  // Fixed inputs: 2 s CPU, 10 faults, 0.5 s of decode.
-  TotalTime Whole = storeTotalTime(2.0, 10, 500000000ull, D);
-  EXPECT_NEAR(Whole.CpuSeconds, 2.5, 1e-12);
-  EXPECT_NEAR(Whole.PagingSeconds, 10 * D.FaultSeconds, 1e-12);
-
-  // Bit-exact against the retired formulas.
-  auto WholeOrShared = [&](double Cpu, uint64_t Faults, uint64_t Nanos) {
-    return TotalTime{Cpu + static_cast<double>(Nanos) / 1e9,
-                     static_cast<double>(Faults) * D.FaultSeconds};
-  };
-  const double Cpus[] = {0.0, 0.0123, 1.5, 37.25};
-  const uint64_t Faults[] = {0, 1, 849, 1072, 123456789};
-  const uint64_t Nanos[] = {0, 1, 999999999, 123456789012ull};
-  for (double Cpu : Cpus)
-    for (uint64_t F : Faults)
-      for (uint64_t N : Nanos) {
-        TotalTime Got = storeTotalTime(Cpu, F, N, D);
-        TotalTime Want = WholeOrShared(Cpu, F, N);
-        EXPECT_EQ(Got.CpuSeconds, Want.CpuSeconds);
-        EXPECT_EQ(Got.PagingSeconds, Want.PagingSeconds);
-        EXPECT_EQ(Got.total(), Want.total());
-      }
-}

@@ -115,16 +115,21 @@ TEST(Store, ColdMissThenWarmHit) {
   vm::VMProgram P = buildVM(syntheticSource(4));
   std::unique_ptr<CodeStore> S = mustBuildStore(P, "flate", StoreOptions());
   EXPECT_FALSE(S->isResident(0));
+  const size_t Len = P.Functions[0].Code.size();
 
-  Result<std::shared_ptr<const vm::VMFunction>> Cold = S->fault(0);
+  // The default page target keeps each function on one page, so the
+  // span of instruction 0 is the whole body.
+  Result<vm::CodeSpan> Cold = S->faultSpan(0, 0);
   ASSERT_TRUE(Cold.ok()) << Cold.error().message();
-  EXPECT_EQ(Cold.value()->Name, P.Functions[0].Name);
-  EXPECT_EQ(Cold.value()->Code.size(), P.Functions[0].Code.size());
+  EXPECT_EQ(*Cold.value().Name, P.Functions[0].Name);
+  EXPECT_EQ(Cold.value().Begin, 0u);
+  EXPECT_EQ(Cold.value().End, Len);
   EXPECT_TRUE(S->isResident(0));
 
-  Result<std::shared_ptr<const vm::VMFunction>> Warm = S->fault(0);
+  Result<vm::CodeSpan> Warm = S->faultSpan(0, 0);
   ASSERT_TRUE(Warm.ok());
-  EXPECT_EQ(Warm.value().get(), Cold.value().get()) << "hit must not decode";
+  EXPECT_EQ(Warm.value().Keep.get(), Cold.value().Keep.get())
+      << "hit must not decode";
 
   StoreStats St = S->stats();
   EXPECT_EQ(St.Misses, 1u);
@@ -132,7 +137,9 @@ TEST(Store, ColdMissThenWarmHit) {
   EXPECT_EQ(St.Hits, 1u);
   EXPECT_EQ(St.DecodeErrors, 0u);
   EXPECT_EQ(St.ResidentFunctions, 1u);
-  EXPECT_EQ(St.ResidentBytes, decodedCostBytes(*Cold.value()));
+  EXPECT_EQ(St.ResidentBytes,
+            sizeof(vm::VMFunction) + Len * sizeof(vm::Instr))
+      << "a resident page is bare code";
   EXPECT_GT(St.DecodeNanos, 0u);
   EXPECT_DOUBLE_EQ(St.hitRate(), 0.5);
 
@@ -141,6 +148,15 @@ TEST(Store, ColdMissThenWarmHit) {
   EXPECT_EQ(R.Hits + R.Misses + R.Decodes, 0u);
   EXPECT_EQ(R.ResidentFunctions, 1u) << "gauges survive resetStats";
   EXPECT_EQ(R.ResidentBytes, St.ResidentBytes);
+
+  // fault() assembles the full body from the resident page: a hit.
+  Result<std::shared_ptr<const vm::VMFunction>> Body = S->fault(0);
+  ASSERT_TRUE(Body.ok()) << Body.error().message();
+  EXPECT_EQ(Body.value()->Name, P.Functions[0].Name);
+  EXPECT_EQ(Body.value()->LabelPos, P.Functions[0].LabelPos);
+  EXPECT_EQ(Body.value()->Code.size(), Len);
+  EXPECT_EQ(S->stats().Decodes, 0u);
+  EXPECT_EQ(S->stats().Hits, 1u);
 }
 
 // The acceptance bar: a store-backed run is byte-for-byte the eager run,
@@ -219,11 +235,15 @@ TEST(Store, ModuleGranularityCodecRejected) {
 TEST(Store, EvictionFollowsLruRecency) {
   vm::VMProgram P = buildVM(syntheticSource(6));
   ASSERT_GE(P.Functions.size(), 3u);
-  // flate preserves Code/LabelPos/Name/FrameSize exactly, so decoded
-  // costs equal the eager program's.
-  size_t C0 = decodedCostBytes(P.Functions[0]);
-  size_t C1 = decodedCostBytes(P.Functions[1]);
-  size_t C2 = decodedCostBytes(P.Functions[2]);
+  // One page per function, and a decoded page is bare code: its cost is
+  // the body struct plus the eager function's instructions.
+  auto PageCost = [&](size_t Fn) {
+    return sizeof(vm::VMFunction) +
+           P.Functions[Fn].Code.size() * sizeof(vm::Instr);
+  };
+  size_t C0 = PageCost(0);
+  size_t C1 = PageCost(1);
+  size_t C2 = PageCost(2);
 
   StoreOptions Opts;
   Opts.Shards = 1; // One shard so all three ids share one LRU list.
@@ -277,9 +297,9 @@ TEST(Store, PinnedEntriesSurviveEviction) {
   EXPECT_FALSE(S->isResident(0)) << "unpin makes it evictable again";
 }
 
-// N threads faulting the same cold function: exactly one decode, the
-// rest served as hits or single-flight waits. The tsan preset runs this
-// with full happens-before checking.
+// N threads faulting the same cold function's page: exactly one decode,
+// the rest served as hits or single-flight waits. The tsan preset runs
+// this with full happens-before checking.
 TEST(Store, ConcurrentFaultsDecodeOnce) {
   ensureSlowRawRegistered();
   vm::VMProgram P = buildVM(syntheticSource(4));
@@ -297,9 +317,9 @@ TEST(Store, ConcurrentFaultsDecodeOnce) {
       ++Ready;
       while (!Go.load())
         std::this_thread::yield();
-      Result<std::shared_ptr<const vm::VMFunction>> R = S->fault(0);
+      Result<vm::CodeSpan> R = S->faultSpan(0, 0);
       if (R.ok())
-        Seen[T] = R.value().get();
+        Seen[T] = R.value().Keep.get();
       else
         ++Failures;
     });
