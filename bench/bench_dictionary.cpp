@@ -33,8 +33,8 @@ int main() {
     brisc::BriscProgram B = brisc::compress(P, brisc::CompressOptions(),
                                             &S);
     size_t MaxSucc = 0;
-    for (const auto &L : B.Successors)
-      MaxSucc = std::max(MaxSucc, L.size());
+    for (uint32_t Ctx = 0; Ctx != B.Successors.numContexts(); ++Ctx)
+      MaxSucc = std::max(MaxSucc, B.Successors.of(Ctx).size());
     uint64_t Instrs = vm::countInstrs(P);
     std::printf("%-6s %12zu %10zu %8u %10zu %10zu %12.2f\n", Cls,
                 S.CandidatesTested, S.DictPatterns, S.Passes, MaxSucc,

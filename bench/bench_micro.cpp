@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 //
 // google-benchmark throughput measurements for the building blocks:
-// flate compress/decompress, Huffman and MTF coding, the three
-// execution engines' dispatch rates, BRISC compression, and the JIT's
-// code-production rate (the 2.5 MB/s headline, on modern hardware).
+// flate compress/decompress, Huffman and MTF coding, a code store's
+// page-fault decode per stage, the three execution engines' dispatch
+// rates, BRISC compression, and the JIT's code-production rate (the
+// 2.5 MB/s headline, on modern hardware).
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,11 +21,15 @@
 #include "minic/Compile.h"
 #include "codegen/Codegen.h"
 #include "native/Threaded.h"
+#include "pipeline/Codec.h"
+#include "pipeline/Payload.h"
 #include "support/Huffman.h"
 #include "support/MTF.h"
 #include "support/PRNG.h"
 #include "vm/Encode.h"
 #include "wire/Wire.h"
+
+#include <chrono>
 
 using namespace ccomp;
 
@@ -55,7 +60,81 @@ vm::VMProgram &wepProgram() {
 
 const corpus::Program &benchProgram() { return *corpus::find("qsort"); }
 
+const pipeline::Codec &codec(const char *Name) {
+  return *pipeline::Registry::instance().find(Name);
+}
+
+/// One page frame of a brisc+flate code store and the page's label
+/// table (what CodeStore::decodeFrame holds when it faults the page).
+struct PageFrame {
+  std::vector<uint8_t> Bytes;
+  std::vector<uint32_t> Labels;
+};
+
+/// The icc class cut into 4 KiB pages and encoded brisc, then flate, the
+/// way CodeStore::build encodes them (greedy page split, no profile).
+const std::vector<PageFrame> &iccPageFrames() {
+  static const std::vector<PageFrame> Frames = [] {
+    minic::CompileResult CR = minic::compile(corpus::sizeClassSource("icc"));
+    codegen::Result CG = codegen::generate(*CR.M);
+    std::vector<PageFrame> Out;
+    for (const vm::VMFunction &F : CG.P.Functions)
+      for (const pipeline::PageChunk &C :
+           pipeline::splitFunctionPages(F, 4096)) {
+        PageFrame PF;
+        std::vector<uint8_t> Payload = pipeline::encodePagePayload(
+            pipeline::PayloadKind::FuncImage, C.Code, &PF.Labels);
+        PF.Bytes = codec("flate").compress(codec("brisc").compress(Payload));
+        Out.push_back(std::move(PF));
+      }
+    return Out;
+  }();
+  return Frames;
+}
+
 } // namespace
+
+/// A page fault's decode, frame by frame over the icc-class brisc+flate
+/// 4 KiB frames: flate to the BRISC image, then BRISC straight to the
+/// page's instructions. The counters split the per-frame time by stage;
+/// small frames are where per-block table set-up and per-frame
+/// allocation show, which one large buffer hides.
+static void BM_PageFrameDecode(benchmark::State &State) {
+  using Clock = std::chrono::steady_clock;
+  const std::vector<PageFrame> &Frames = iccPageFrames();
+  const pipeline::Codec &Flate = codec("flate"), &Brisc = codec("brisc");
+  Clock::duration FlateT{}, BriscT{};
+  for (auto _ : State)
+    for (const PageFrame &F : Frames) {
+      Clock::time_point A = Clock::now();
+      Result<std::vector<uint8_t>> Mid = Flate.tryDecompress(F.Bytes);
+      Clock::time_point B = Clock::now();
+      if (!Mid.ok()) {
+        State.SkipWithError(Mid.error().message().c_str());
+        return;
+      }
+      Result<std::vector<vm::Instr>> Code =
+          Brisc.tryDecodePage(Mid.value(), F.Labels);
+      Clock::time_point C = Clock::now();
+      if (!Code.ok()) {
+        State.SkipWithError(Code.error().message().c_str());
+        return;
+      }
+      benchmark::DoNotOptimize(Code.value().data());
+      FlateT += B - A;
+      BriscT += C - B;
+    }
+  double N = double(State.iterations()) * double(Frames.size());
+  auto PerFrameUs = [N](Clock::duration D) {
+    return std::chrono::duration<double, std::micro>(D).count() / N;
+  };
+  State.counters["frames"] = double(Frames.size());
+  State.counters["flate_us"] = PerFrameUs(FlateT);
+  State.counters["brisc_us"] = PerFrameUs(BriscT);
+  State.counters["decode_us"] = PerFrameUs(FlateT + BriscT);
+  State.SetItemsProcessed(int64_t(N));
+}
+BENCHMARK(BM_PageFrameDecode)->Unit(benchmark::kMillisecond);
 
 static void BM_FlateCompress(benchmark::State &State) {
   std::vector<uint8_t> In = codeLikeBytes(1 << 18);

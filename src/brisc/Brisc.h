@@ -43,18 +43,59 @@ struct BriscFunction {
   std::vector<uint32_t> BBOffsets; ///< Sorted byte offsets of block starts.
 };
 
+/// Order-1 Markov successor lists, one per context, stored flat: the
+/// list of context C is Ids[Start[C], Start[C + 1]).
+class SuccessorTable {
+public:
+  /// A read-only view of one context's list.
+  struct List {
+    const uint32_t *B, *E;
+    const uint32_t *begin() const { return B; }
+    const uint32_t *end() const { return E; }
+    size_t size() const { return static_cast<size_t>(E - B); }
+    uint32_t operator[](size_t I) const { return B[I]; }
+  };
+
+  size_t numContexts() const { return Start.size() - 1; }
+
+  List of(uint32_t Ctx) const {
+    return {Ids.data() + Start[Ctx], Ids.data() + Start[Ctx + 1]};
+  }
+
+  /// The id opcode byte \p OpByte names in context \p Ctx, or ~0u when
+  /// Ctx is no context or the byte is past its list.
+  uint32_t lookup(uint32_t Ctx, uint8_t OpByte) const {
+    if (Ctx >= numContexts() || OpByte >= Start[Ctx + 1] - Start[Ctx])
+      return ~0u;
+    return Ids[Start[Ctx] + OpByte];
+  }
+
+  /// Opens the next context, with an empty list.
+  void addContext() { Start.push_back(Start.back()); }
+
+  /// Appends \p Id to the list of the last context.
+  void push(uint32_t Id) {
+    Ids.push_back(Id);
+    ++Start.back();
+  }
+
+private:
+  std::vector<uint32_t> Ids;
+  std::vector<uint32_t> Start{0};
+};
+
 /// A compressed executable.
 struct BriscProgram {
-  /// Dictionary. Ids 0..vm::VMOp::NumOps-1 are the base instruction set;
-  /// higher ids were added by the compressor.
-  std::vector<Pattern> Pats;
+  /// Dictionary entries the compressor added, ids vm::VMOp::NumOps and
+  /// up; ids below are the base instruction set (basePatterns()).
+  std::vector<Pattern> Added;
 
-  /// Order-1 Markov model: Successors[ctx] lists the pattern ids that can
-  /// follow context ctx, in first-occurrence order; the opcode byte is an
-  /// index into this list (255 escapes to an explicit 2-byte id). Context
-  /// ids equal pattern ids; the extra last context is the basic-block
-  /// start context.
-  std::vector<std::vector<uint32_t>> Successors;
+  /// Order-1 Markov model: the list of context ctx holds the pattern ids
+  /// that can follow ctx, in first-occurrence order; the opcode byte is
+  /// an index into this list (255 escapes to an explicit 2-byte id).
+  /// Context ids equal pattern ids; the extra last context is the basic-
+  /// block start context.
+  SuccessorTable Successors;
 
   std::vector<BriscFunction> Funcs;
   uint32_t Entry = 0;
@@ -65,8 +106,19 @@ struct BriscProgram {
   uint32_t GlobalBase = 0x100;
   uint32_t GlobalEnd = 0x100;
 
+  /// Dictionary size, base instruction set included.
+  size_t numPatterns() const {
+    return static_cast<size_t>(vm::VMOp::NumOps) + Added.size();
+  }
+
+  /// Pattern \p Id, which must be below numPatterns().
+  const Pattern &pattern(uint32_t Id) const {
+    constexpr uint32_t NumBase = static_cast<uint32_t>(vm::VMOp::NumOps);
+    return Id < NumBase ? basePatterns()[Id] : Added[Id - NumBase];
+  }
+
   uint32_t bbStartContext() const {
-    return static_cast<uint32_t>(Pats.size());
+    return static_cast<uint32_t>(numPatterns());
   }
 
   /// Serializes the program. With \p IncludeData the globals ride along

@@ -495,9 +495,10 @@ void Compressor::compactDictionary() {
 //===----------------------------------------------------------------------===//
 
 void Compressor::emit(BriscProgram &Out) {
-  Out.Pats = Pats;
+  const uint32_t NumBase = static_cast<uint32_t>(VMOp::NumOps);
+  Out.Added.assign(Pats.begin() + NumBase, Pats.end());
   uint32_t BBCtx = static_cast<uint32_t>(Pats.size());
-  Out.Successors.assign(Pats.size() + 1, {});
+  std::vector<std::vector<uint32_t>> Successors(Pats.size() + 1);
 
   // Pass 1: build successor lists (first-occurrence order) and per-slot
   // opcode byte sizes, then slot offsets.
@@ -508,7 +509,7 @@ void Compressor::emit(BriscProgram &Out) {
   std::vector<EmitFn> EmitFns(Funcs.size());
 
   auto SuccIndex = [&](uint32_t Ctx, uint32_t PatId) -> int {
-    std::vector<uint32_t> &L = Out.Successors[Ctx];
+    std::vector<uint32_t> &L = Successors[Ctx];
     for (size_t I = 0; I != L.size(); ++I)
       if (L[I] == PatId)
         return static_cast<int>(I);
@@ -530,6 +531,11 @@ void Compressor::emit(BriscProgram &Out) {
       Ctx = FS.BBStart[S.Begin + S.Count] ? BBCtx : S.PatId;
     }
     EF.SlotOff.push_back(Off);
+  }
+  for (const std::vector<uint32_t> &L : Successors) {
+    Out.Successors.addContext();
+    for (uint32_t Id : L)
+      Out.Successors.push(Id);
   }
 
   // Pass 2: resolve branch targets to byte offsets and write the bytes.
@@ -560,7 +566,7 @@ void Compressor::emit(BriscProgram &Out) {
       const Pattern &P = Pats[S.PatId];
       // Opcode byte(s).
       int Idx = -1;
-      const std::vector<uint32_t> &L = Out.Successors[Ctx];
+      const std::vector<uint32_t> &L = Successors[Ctx];
       for (size_t I = 0; I != L.size(); ++I)
         if (L[I] == S.PatId) {
           Idx = static_cast<int>(I);
@@ -637,8 +643,8 @@ BriscProgram Compressor::run() {
       P.serialize(DW);
     Stats->DictBytes = DW.size();
     size_t Markov = 0;
-    for (const auto &L : Out.Successors)
-      Markov += 1 + 2 * L.size(); // Approximate varint accounting.
+    for (uint32_t Ctx = 0; Ctx != Out.Successors.numContexts(); ++Ctx)
+      Markov += 1 + 2 * Out.Successors.of(Ctx).size(); // Approximate.
     Stats->MarkovBytes = Markov;
     size_t Code = 0, BBMap = 0;
     for (const BriscFunction &F : Out.Funcs) {

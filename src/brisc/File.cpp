@@ -19,7 +19,6 @@ using vm::VMOp;
 
 namespace {
 constexpr uint32_t Magic = 0x52424343; // "CCBR".
-constexpr unsigned NumBase = static_cast<unsigned>(VMOp::NumOps);
 } // namespace
 
 std::vector<uint8_t> BriscProgram::serialize(bool IncludeData) const {
@@ -28,16 +27,15 @@ std::vector<uint8_t> BriscProgram::serialize(bool IncludeData) const {
   W.writeU8(IncludeData ? 1 : 0);
 
   // Dictionary: base patterns are implicit.
-  if (Pats.size() < NumBase)
-    reportFatal("brisc: dictionary missing base patterns");
-  W.writeVarU(Pats.size() - NumBase);
-  for (size_t I = NumBase; I != Pats.size(); ++I)
-    Pats[I].serialize(W);
+  W.writeVarU(Added.size());
+  for (const Pattern &P : Added)
+    P.serialize(W);
 
   // Markov successor tables (one per pattern + the block-start context).
-  if (Successors.size() != Pats.size() + 1)
+  if (Successors.numContexts() != numPatterns() + 1)
     reportFatal("brisc: successor table count mismatch");
-  for (const std::vector<uint32_t> &L : Successors) {
+  for (uint32_t Ctx = 0; Ctx != Successors.numContexts(); ++Ctx) {
+    SuccessorTable::List L = Successors.of(Ctx);
     W.writeVarU(L.size());
     int64_t Prev = 0;
     for (uint32_t Id : L) {
@@ -86,25 +84,26 @@ BriscProgram parseOrThrow(ByteSpan Bytes) {
     decodeFail("brisc: bad magic");
   bool HasData = R.readU8() != 0;
 
-  for (unsigned I = 0; I != NumBase; ++I)
-    B.Pats.push_back(Pattern::base(static_cast<VMOp>(I)));
   size_t NumAdded = R.readVarU();
+  // Every entry takes at least one byte; clamp the untrusted count.
+  B.Added.reserve(std::min(NumAdded, R.remaining()));
   for (size_t I = 0; I != NumAdded; ++I) {
     Pattern P = Pattern::deserialize(R);
     if (!P.wellFormed())
       decodeFail("brisc: malformed pattern in dictionary");
-    B.Pats.push_back(std::move(P));
+    B.Added.push_back(std::move(P));
   }
 
-  B.Successors.resize(B.Pats.size() + 1);
-  for (std::vector<uint32_t> &L : B.Successors) {
+  const size_t NumPats = B.numPatterns();
+  for (size_t Ctx = 0; Ctx != NumPats + 1; ++Ctx) {
+    B.Successors.addContext();
     size_t N = R.readVarU();
     int64_t Prev = 0;
     for (size_t I = 0; I != N; ++I) {
       Prev += R.readVarS();
-      if (Prev < 0 || static_cast<size_t>(Prev) >= B.Pats.size())
+      if (Prev < 0 || static_cast<size_t>(Prev) >= NumPats)
         decodeFail("brisc: bad successor id");
-      L.push_back(static_cast<uint32_t>(Prev));
+      B.Successors.push(static_cast<uint32_t>(Prev));
     }
   }
 
@@ -142,6 +141,8 @@ BriscProgram parseOrThrow(ByteSpan Bytes) {
     B.GlobalBase = static_cast<uint32_t>(R.readVarU());
     B.GlobalEnd = static_cast<uint32_t>(R.readVarU());
   }
+  if (!R.atEnd())
+    decodeFail("brisc: trailing bytes");
   return B;
 }
 
@@ -167,12 +168,18 @@ namespace {
 vm::VMProgram decodeToVMOrThrow(const BriscProgram &B) {
   vm::VMProgram P;
   uint32_t BBCtx = B.bbStartContext();
+  // Decode into one scratch buffer, reserved so that appending rarely
+  // reallocates (every instance takes at least one byte and most expand
+  // to one instruction), and give each function an exact-size copy.
+  std::vector<Instr> Code;
 
   for (const BriscFunction &BF : B.Funcs) {
     vm::VMFunction F;
     F.Name = BF.Name;
 
     std::vector<uint32_t> InstrAtOff(BF.Code.size() + 1, ~0u);
+    Code.clear();
+    Code.reserve(BF.Code.size());
     uint32_t Ctx = BBCtx;
     size_t Off = 0;
     size_t NextBB = 0;
@@ -181,7 +188,7 @@ vm::VMProgram decodeToVMOrThrow(const BriscProgram &B) {
         Ctx = BBCtx;
         ++NextBB;
       }
-      InstrAtOff[Off] = static_cast<uint32_t>(F.Code.size());
+      InstrAtOff[Off] = static_cast<uint32_t>(Code.size());
       uint8_t OpByte = BF.Code[Off];
       size_t OpLen = 1;
       uint32_t PatId;
@@ -192,16 +199,15 @@ vm::VMProgram decodeToVMOrThrow(const BriscProgram &B) {
                                       (BF.Code[Off + 2] << 8));
         OpLen = 3;
       } else {
-        if (Ctx >= B.Successors.size() ||
-            OpByte >= B.Successors[Ctx].size())
+        PatId = B.Successors.lookup(Ctx, OpByte);
+        if (PatId == ~0u)
           decodeFail("brisc: opcode byte out of context range");
-        PatId = B.Successors[Ctx][OpByte];
       }
-      if (PatId >= B.Pats.size())
+      if (PatId >= B.numPatterns())
         decodeFail("brisc: bad pattern id");
-      const Pattern &Pat = B.Pats[PatId];
+      const Pattern &Pat = B.pattern(PatId);
       size_t Used = unpackOperands(Pat, BF.Code.data() + Off + OpLen,
-                                   BF.Code.size() - (Off + OpLen), F.Code);
+                                   BF.Code.size() - (Off + OpLen), Code);
       Off += OpLen + Used;
       Ctx = PatId;
     }
@@ -214,7 +220,7 @@ vm::VMProgram decodeToVMOrThrow(const BriscProgram &B) {
         decodeFail("brisc: block offset not at a slot boundary");
       F.LabelPos.push_back(InstrAtOff[BBOff]);
     }
-    for (Instr &In : F.Code) {
+    for (Instr &In : Code) {
       if (!vm::isBranch(In.Op))
         continue;
       uint32_t TOff = In.Target;
@@ -224,6 +230,7 @@ vm::VMProgram decodeToVMOrThrow(const BriscProgram &B) {
         decodeFail("brisc: branch to a non-block offset");
       In.Target = static_cast<uint32_t>(It - BF.BBOffsets.begin());
     }
+    F.Code.assign(Code.begin(), Code.end());
     if (!F.Code.empty() && F.Code[0].Op == VMOp::ENTER)
       F.FrameSize = static_cast<uint32_t>(F.Code[0].Imm);
     P.Functions.push_back(std::move(F));

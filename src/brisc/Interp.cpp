@@ -31,14 +31,16 @@ vm::FuncMeta prologueMeta(const BriscProgram &B, const BriscFunction &F) {
     size_t OpLen = 1;
     uint32_t PatId;
     if (OpByte == 255) {
+      if (Off + 3 > F.Code.size())
+        return Meta;
       PatId = static_cast<uint32_t>(F.Code[Off + 1] | (F.Code[Off + 2] << 8));
       OpLen = 3;
     } else {
-      if (Ctx >= B.Successors.size() || OpByte >= B.Successors[Ctx].size())
-        return Meta;
-      PatId = B.Successors[Ctx][OpByte];
+      PatId = B.Successors.lookup(Ctx, OpByte);
     }
-    const Pattern &P = B.Pats[PatId];
+    if (PatId >= B.numPatterns())
+      return Meta; // The run loop traps on the same bytes.
+    const Pattern &P = B.pattern(PatId);
     Buf.clear();
     size_t Used = unpackOperands(P, F.Code.data() + Off + OpLen,
                                  F.Code.size() - (Off + OpLen), Buf);
@@ -132,13 +134,17 @@ vm::RunResult brisc::interpret(const BriscProgram &B, vm::RunOptions Opts) {
                                     (F.Code[Off + 2] << 8));
       OpLen = 3;
     } else {
-      if (OpByte >= B.Successors[Ctx].size()) {
+      PatId = B.Successors.lookup(Ctx, OpByte);
+      if (PatId == ~0u) {
         M.trap("opcode byte outside Markov context");
         break;
       }
-      PatId = B.Successors[Ctx][OpByte];
     }
-    const Pattern &P = B.Pats[PatId];
+    if (PatId >= B.numPatterns()) {
+      M.trap("bad pattern id");
+      break;
+    }
+    const Pattern &P = B.pattern(PatId);
     Buf.clear();
     size_t Used = unpackOperands(P, F.Code.data() + Off + OpLen,
                                  F.Code.size() - (Off + OpLen), Buf);

@@ -228,6 +228,16 @@ Pattern Pattern::base(VMOp Op) {
   return P;
 }
 
+const std::vector<Pattern> &brisc::basePatterns() {
+  static const std::vector<Pattern> Base = [] {
+    std::vector<Pattern> V;
+    for (unsigned I = 0; I != static_cast<unsigned>(VMOp::NumOps); ++I)
+      V.push_back(Pattern::base(static_cast<VMOp>(I)));
+    return V;
+  }();
+  return Base;
+}
+
 std::string Pattern::str() const {
   std::ostringstream OS;
   if (Elems.size() > 1)
@@ -404,10 +414,10 @@ size_t brisc::unpackOperands(const Pattern &P, const uint8_t *Bytes,
   for (size_t I = 0; I != P.Elems.size(); ++I) {
     const SpecInstr &E = P.Elems[I];
     Instr &In = Out[Start + I];
-    unsigned NF = vm::numFields(E.Op);
-    for (unsigned F = 0; F != NF; ++F) {
+    const vm::FieldLayout &L = vm::fieldLayout(E.Op);
+    for (unsigned F = 0; F != L.NumFields; ++F) {
       if (E.specialized(F)) {
-        vm::setField(In, F, E.SpecVals[F]);
+        vm::setFieldAt(In, L.Slot[F], E.SpecVals[F]);
         continue;
       }
       if (widthNibbles(E.Widths[F]) != 1)
@@ -415,7 +425,7 @@ size_t brisc::unpackOperands(const Pattern &P, const uint8_t *Bytes,
       int64_t V = Up.getNibble();
       if (E.Widths[F] == Width::NibX4)
         V *= 4;
-      vm::setField(In, F, V);
+      vm::setFieldAt(In, L.Slot[F], V);
     }
   }
   Up.align();
@@ -423,8 +433,8 @@ size_t brisc::unpackOperands(const Pattern &P, const uint8_t *Bytes,
   for (size_t I = 0; I != P.Elems.size(); ++I) {
     const SpecInstr &E = P.Elems[I];
     Instr &In = Out[Start + I];
-    unsigned NF = vm::numFields(E.Op);
-    for (unsigned F = 0; F != NF; ++F) {
+    const vm::FieldLayout &L = vm::fieldLayout(E.Op);
+    for (unsigned F = 0; F != L.NumFields; ++F) {
       if (E.specialized(F) || widthNibbles(E.Widths[F]) == 1)
         continue;
       int64_t V;
@@ -444,7 +454,7 @@ size_t brisc::unpackOperands(const Pattern &P, const uint8_t *Bytes,
       default:
         ccomp_unreachable("bad width");
       }
-      vm::setField(In, F, V);
+      vm::setFieldAt(In, L.Slot[F], V);
     }
   }
   return Up.consumed();

@@ -95,6 +95,11 @@ struct Pattern {
   std::string str() const;
 };
 
+/// The base instruction set as patterns: basePatterns()[Op] is
+/// Pattern::base(Op). Built once, on first use, and shared read-only by
+/// every program and thread.
+const std::vector<Pattern> &basePatterns();
+
 /// Packs the unspecified operand values of \p P (matching \p Seq) into
 /// bytes; nibble-width fields pack two per byte.
 void packOperands(const Pattern &P, const vm::Instr *Seq, ByteWriter &W);

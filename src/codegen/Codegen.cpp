@@ -775,7 +775,9 @@ void FunctionEmitter::run() {
   // Assemble: prologue + body + epilogue; labels shift by |Pro|.
   uint32_t ProLen = static_cast<uint32_t>(Pro.size());
   VF.FrameSize = Frame;
-  VF.Code = std::move(Pro);
+  VF.Code.clear();
+  VF.Code.reserve(Pro.size() + Body.size() + Epi.size()); // Exact: long-lived.
+  VF.Code.insert(VF.Code.end(), Pro.begin(), Pro.end());
   VF.Code.insert(VF.Code.end(), Body.begin(), Body.end());
   uint32_t EpiStart = static_cast<uint32_t>(VF.Code.size());
   VF.Code.insert(VF.Code.end(), Epi.begin(), Epi.end());

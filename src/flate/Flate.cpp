@@ -243,8 +243,10 @@ void writeDynamicBlock(BitWriter &BW, const std::vector<Token> &Toks) {
   }
   ++LitFreq[EOB];
 
-  HuffmanCode LitHC(buildHuffmanLengths(LitFreq, MaxCodeLen));
-  HuffmanCode DistHC(buildHuffmanLengths(DistFreq, MaxCodeLen));
+  HuffmanCode LitHC(buildHuffmanLengths(LitFreq, MaxCodeLen),
+                    HuffmanCode::Use::Encode);
+  HuffmanCode DistHC(buildHuffmanLengths(DistFreq, MaxCodeLen),
+                     HuffmanCode::Use::Encode);
 
   writeLengths(BW, LitHC.lengths(), NumLitLenSyms);
   writeLengths(BW, DistHC.lengths(), NumDistSyms);
@@ -342,8 +344,9 @@ std::vector<uint8_t> decompressOrThrow(ByteSpan Input) {
       unsigned Len = BR.readBits(17);
       if (Out.size() + Len > OrigSize)
         decodeFail("flate: output exceeds declared size");
-      for (unsigned I = 0; I != Len; ++I)
-        Out.push_back(static_cast<uint8_t>(BR.readBits(8)));
+      size_t At = Out.size();
+      Out.resize(At + Len);
+      BR.readBytes(Out.data() + At, Len);
       continue;
     }
     if (Type != 1)
@@ -353,8 +356,8 @@ std::vector<uint8_t> decompressOrThrow(ByteSpan Input) {
     if (!HuffmanCode::isValidLengthSet(LitLens) ||
         !HuffmanCode::isValidLengthSet(DistLens))
       decodeFail("flate: corrupt code length table");
-    HuffmanCode LitHC(std::move(LitLens));
-    HuffmanCode DistHC(std::move(DistLens));
+    HuffmanCode LitHC(std::move(LitLens), HuffmanCode::Use::Decode);
+    HuffmanCode DistHC(std::move(DistLens), HuffmanCode::Use::Decode);
     for (;;) {
       unsigned Sym = LitHC.decode(BR);
       if (Sym == EOB)
@@ -376,13 +379,26 @@ std::vector<uint8_t> decompressOrThrow(ByteSpan Input) {
         decodeFail("flate: match distance before start of output");
       if (Out.size() + Len > OrigSize)
         decodeFail("flate: output exceeds declared size");
-      size_t From = Out.size() - Dist;
-      for (unsigned I = 0; I != Len; ++I)
-        Out.push_back(Out[From + I]); // Byte-at-a-time: overlaps are legal.
+      size_t At = Out.size();
+      Out.resize(At + Len);
+      uint8_t *Dst = Out.data() + At;
+      const uint8_t *Src = Dst - Dist;
+      if (Dist >= Len) {
+        std::memcpy(Dst, Src, Len);
+      } else if (Dist == 1) {
+        std::memset(Dst, *Src, Len);
+      } else {
+        // Overlapping: the match repeats its last Dist bytes; copy the
+        // run forward so each byte reads one already written.
+        for (unsigned I = 0; I != Len; ++I)
+          Dst[I] = Src[I];
+      }
     }
   }
   if (Out.size() != OrigSize)
     decodeFail("flate: decompressed size mismatch");
+  if (!BR.nearEnd())
+    decodeFail("flate: trailing bytes after final block");
   return Out;
 }
 

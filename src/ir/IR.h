@@ -29,13 +29,14 @@ namespace ccomp {
 namespace ir {
 
 /// One tree node. Nodes are owned by their Function's arena; Tree pointers
-/// stay valid for the Function's lifetime.
+/// stay valid for the Function's lifetime. The one-byte fields lead, so a
+/// node is 32 bytes on 64-bit hosts.
 struct Tree {
   Op O = Op::CNST;
   TypeSuffix Suffix = TypeSuffix::I;
+  uint8_t NKids = 0;
   int64_t Literal = 0; ///< Value / frame offset / symbol index / label id.
   Tree *Kids[2] = {nullptr, nullptr};
-  uint8_t NKids = 0;
 
   bool hasLit() const { return hasLiteral(O); }
 };

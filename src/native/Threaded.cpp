@@ -481,7 +481,7 @@ vm::RunResult native::run(const NProgram &P, vm::RunOptions Opts) {
   }
   // The standalone run owns the storage the State borrows.
   uint32_t Regs[16] = {0};
-  std::vector<uint8_t> MemStore(Opts.MemBytes, 0);
+  vm::DataMemory MemStore(Opts.MemBytes);
   std::string OutStore;
   State S;
   S.Prog = &P;

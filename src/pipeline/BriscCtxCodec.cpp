@@ -216,7 +216,8 @@ std::vector<uint8_t> encodeCtx(const std::vector<Instr> &Code) {
     if (Freqs[M].empty())
       continue;
     Lens[M] = buildHuffmanLengths(Freqs[M], 15);
-    Codes[M] = std::make_unique<HuffmanCode>(Lens[M]);
+    Codes[M] =
+        std::make_unique<HuffmanCode>(Lens[M], HuffmanCode::Use::Encode);
   }
 
   ByteWriter W;
@@ -271,7 +272,8 @@ std::vector<Instr> decodeCtxOrThrow(ByteSpan Frame) {
                                            : Packed[I / 2] & 15);
     if (!HuffmanCode::isValidLengthSet(Lens))
       decodeFail("brisc-ctx: oversubscribed Huffman lengths");
-    Codes[M] = std::make_unique<HuffmanCode>(std::move(Lens));
+    Codes[M] = std::make_unique<HuffmanCode>(std::move(Lens),
+                                             HuffmanCode::Use::Decode);
   }
 
   uint64_t BitBytes = R.readVarU();

@@ -74,7 +74,7 @@ std::vector<uint8_t> encodeBwtDict(ByteSpan Payload) {
     ++Freqs[T.Index];
 
   std::vector<uint8_t> Lens = buildHuffmanLengths(Freqs, 15);
-  HuffmanCode Code(Lens);
+  HuffmanCode Code(Lens, HuffmanCode::Use::Encode);
 
   W.writeVarU(B.Primary);
   W.writeVarU(Lens.size());
@@ -123,7 +123,7 @@ std::vector<uint8_t> decodeBwtDictOrThrow(ByteSpan Frame) {
                                          : Packed[I / 2] & 15);
   if (!HuffmanCode::isValidLengthSet(Lens))
     decodeFail("bwt-dict: oversubscribed Huffman lengths");
-  HuffmanCode Code(std::move(Lens));
+  HuffmanCode Code(std::move(Lens), HuffmanCode::Use::Decode);
 
   uint64_t BitBytes = R.readVarU();
   std::vector<uint8_t> Bits = R.readBytes(BitBytes);

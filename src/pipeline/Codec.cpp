@@ -6,6 +6,7 @@
 
 #include "pipeline/Codec.h"
 
+#include "pipeline/Payload.h"
 #include "support/Support.h"
 
 #include <chrono>
@@ -56,6 +57,27 @@ Result<std::vector<uint8_t>> Codec::tryDecompress(ByteSpan Frame) const {
     DecodeErrors.fetch_add(1, std::memory_order_release);
   DecompressCalls.fetch_add(1, std::memory_order_release);
   return R;
+}
+
+Result<std::vector<vm::Instr>>
+Codec::tryDecodePage(ByteSpan Frame,
+                     const std::vector<uint32_t> &PageLabels) const {
+  uint64_t Start = nowNanos();
+  Result<std::vector<vm::Instr>> R = tryDecodePageImpl(Frame, PageLabels);
+  DecompressNanos.fetch_add(nowNanos() - Start, std::memory_order_release);
+  if (!R.ok())
+    DecodeErrors.fetch_add(1, std::memory_order_release);
+  DecompressCalls.fetch_add(1, std::memory_order_release);
+  return R;
+}
+
+Result<std::vector<vm::Instr>>
+Codec::tryDecodePageImpl(ByteSpan Frame,
+                         const std::vector<uint32_t> &PageLabels) const {
+  Result<std::vector<uint8_t>> Payload = tryDecompressImpl(Frame);
+  if (!Payload.ok())
+    return Payload.error();
+  return tryDecodePagePayload(payloadKind(), Payload.value(), PageLabels);
 }
 
 CodecStats Codec::snapshot() const {

@@ -28,6 +28,7 @@
 
 #include "support/Error.h"
 #include "support/Span.h"
+#include "vm/ISA.h"
 
 #include <atomic>
 #include <cstdint>
@@ -88,6 +89,13 @@ public:
   /// malformed frames yield a typed error and bump the error counter.
   Result<std::vector<uint8_t>> tryDecompress(ByteSpan Frame) const;
 
+  /// Decodes a page frame of unknown provenance (this codec's compress()
+  /// of an encodePagePayload() payload) straight to the page's
+  /// instructions, branch targets mapped back through \p PageLabels to
+  /// function-label indices. Counts exactly like tryDecompress().
+  Result<std::vector<vm::Instr>>
+  tryDecodePage(ByteSpan Frame, const std::vector<uint32_t> &PageLabels) const;
+
   /// Mutually consistent snapshot of this codec's counters since process
   /// start (or the last resetStats()). The counters are independent
   /// atomics; snapshot() re-reads until two consecutive passes agree
@@ -106,6 +114,12 @@ protected:
   virtual std::vector<uint8_t> compressImpl(ByteSpan Payload) const = 0;
   virtual Result<std::vector<uint8_t>>
   tryDecompressImpl(ByteSpan Frame) const = 0;
+  /// The default decompresses to the payload and decodes that with
+  /// tryDecodePagePayload(); a codec that can build the instructions
+  /// without the payload round trip overrides it.
+  virtual Result<std::vector<vm::Instr>>
+  tryDecodePageImpl(ByteSpan Frame,
+                    const std::vector<uint32_t> &PageLabels) const;
 
 private:
   mutable std::atomic<uint64_t> CompressCalls{0}, BytesIn{0}, BytesOut{0},

@@ -107,6 +107,33 @@ protected:
     return B.serialize(/*IncludeData=*/true);
   }
   Result<std::vector<uint8_t>> tryDecompressImpl(ByteSpan F) const override {
+    Result<vm::VMFunction> Fn = decodeFunction(F);
+    if (!Fn.ok())
+      return Fn.error();
+    return encodeFuncImage(Fn.value());
+  }
+
+  /// BRISC to instructions with no function image in between: a decoded
+  /// branch names label j, whose instruction index LabelPos[j] is the
+  /// rank the image would have carried.
+  Result<std::vector<vm::Instr>>
+  tryDecodePageImpl(ByteSpan F,
+                    const std::vector<uint32_t> &PageLabels) const override {
+    Result<vm::VMFunction> Fn = decodeFunction(F);
+    if (!Fn.ok())
+      return Fn.error();
+    return tryDecode([&] {
+      vm::VMFunction &Page = Fn.value();
+      for (vm::Instr &In : Page.Code)
+        if (vm::isBranch(In.Op))
+          In.Target = Page.LabelPos[In.Target];
+      remapPageRanks(Page.Code, PageLabels);
+      return std::move(Page.Code);
+    });
+  }
+
+private:
+  static Result<vm::VMFunction> decodeFunction(ByteSpan F) {
     Result<brisc::BriscProgram> B = brisc::BriscProgram::parse(F);
     if (!B.ok())
       return B.error();
@@ -117,7 +144,7 @@ protected:
       return DecodeError("brisc codec: frame holds " +
                          std::to_string(P.value().Functions.size()) +
                          " functions, expected one");
-    return encodeFuncImage(P.value().Functions[0]);
+    return std::move(P.value().Functions[0]);
   }
 };
 

@@ -49,7 +49,9 @@ std::vector<uint8_t> pipeline::encodeFuncImage(const VMFunction &F) {
 
 namespace {
 
-VMFunction decodeFuncImageOrThrow(ByteSpan Bytes) {
+/// Decodes an image leaving branch targets as the instruction indices it
+/// stores (each checked to lie inside the function) and LabelPos empty.
+VMFunction decodeImageCodeOrThrow(ByteSpan Bytes) {
   ByteReader R(Bytes);
   if (R.readU32() != ImageMagic)
     decodeFail("funcimage: bad magic");
@@ -75,16 +77,20 @@ VMFunction decodeFuncImageOrThrow(ByteSpan Bytes) {
   }
   if (!R.atEnd())
     decodeFail("funcimage: trailing bytes");
+  for (const Instr &In : F.Code)
+    if (vm::isBranch(In.Op) && In.Target >= F.Code.size())
+      decodeFail("funcimage: branch past the end of the function");
+  return F;
+}
 
+VMFunction decodeFuncImageOrThrow(ByteSpan Bytes) {
+  VMFunction F = decodeImageCodeOrThrow(Bytes);
   // Rebuild the label table: one label per distinct branch-target
   // instruction index, in instruction order.
   std::vector<uint32_t> Targets;
   for (const Instr &In : F.Code)
-    if (vm::isBranch(In.Op)) {
-      if (In.Target >= F.Code.size())
-        decodeFail("funcimage: branch past the end of the function");
+    if (vm::isBranch(In.Op))
       Targets.push_back(In.Target);
-    }
   std::sort(Targets.begin(), Targets.end());
   Targets.erase(std::unique(Targets.begin(), Targets.end()), Targets.end());
   F.LabelPos = Targets;
@@ -259,26 +265,30 @@ pipeline::encodePagePayload(PayloadKind K, const std::vector<Instr> &Code,
   return encodeFuncImage(PF);
 }
 
+void pipeline::remapPageRanks(std::vector<Instr> &Code,
+                              const std::vector<uint32_t> &PageLabels) {
+  for (Instr &In : Code)
+    if (vm::isBranch(In.Op)) {
+      uint32_t Rank = In.Target;
+      if (Rank >= Code.size())
+        decodeFail("page: branch rank past the end of the page");
+      if (Rank >= PageLabels.size())
+        decodeFail("page: branch rank outside the page label table");
+      In.Target = PageLabels[Rank];
+    }
+}
+
 Result<std::vector<Instr>>
 pipeline::tryDecodePagePayload(PayloadKind K, ByteSpan Bytes,
                                const std::vector<uint32_t> &PageLabels) {
   if (K != PayloadKind::FuncImage)
     return vm::tryDecodeFunction(Bytes);
-  Result<VMFunction> Img = tryDecodeFuncImage(Bytes);
-  if (!Img.ok())
-    return Img.error();
   return tryDecode([&] {
-    VMFunction F = Img.take();
-    for (Instr &In : F.Code)
-      if (vm::isBranch(In.Op)) {
-        // The image's rebuilt label table holds the ranks encodePagePayload
-        // assigned; map each back to its function-label index.
-        uint32_t Rank = F.LabelPos[In.Target];
-        if (Rank >= PageLabels.size())
-          decodeFail("page: branch rank outside the page label table");
-        In.Target = PageLabels[Rank];
-      }
-    return std::move(F.Code);
+    // The image stores each branch target as the rank encodePagePayload
+    // assigned (an in-page instruction index); no label table is needed.
+    std::vector<Instr> Code = decodeImageCodeOrThrow(Bytes).Code;
+    remapPageRanks(Code, PageLabels);
+    return Code;
   });
 }
 

@@ -104,6 +104,14 @@ std::vector<uint8_t> encodePagePayload(PayloadKind K,
                                        const std::vector<vm::Instr> &Code,
                                        std::vector<uint32_t> *PageLabels);
 
+/// The last step of every image-page decode: rewrites each branch target
+/// of \p Code from the in-page rank its image carried (an instruction
+/// index into the page, by encodePagePayload's construction) to the
+/// function-label index PageLabels[rank]. A rank past the page's code or
+/// past \p PageLabels throws DecodeError.
+void remapPageRanks(std::vector<vm::Instr> &Code,
+                    const std::vector<uint32_t> &PageLabels);
+
 /// Decodes a page payload produced by encodePagePayload back into
 /// instructions whose branch targets are function-label indices again.
 /// Corrupt bytes — including rank targets outside \p PageLabels — yield

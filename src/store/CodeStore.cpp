@@ -605,15 +605,17 @@ CodeStore::FaultOutcome CodeStore::decodeFrame(uint32_t Id, FetchMetrics &M) {
                        fetchErrorKindName(Fetched.Err) + "]: " + Fetched.Msg);
   std::vector<uint8_t> Cur = std::move(Fetched.Bytes);
   const std::vector<const pipeline::Codec *> &Decode = Chains[FrameChain[Id]];
-  for (auto It = Decode.rbegin(); It != Decode.rend(); ++It) {
+  for (auto It = Decode.rbegin(); It + 1 != Decode.rend(); ++It) {
     Result<std::vector<uint8_t>> R = (*It)->tryDecompress(Cur);
     if (!R.ok())
       return R.error();
     Cur = R.take();
   }
+  // The chain's first codec decodes its frame straight to the page's
+  // instructions; no decoder state outlives this call.
   const PageRec &PR = Rec.Pages[Id - Rec.FirstPage];
   Result<std::vector<vm::Instr>> Code =
-      pipeline::tryDecodePagePayload(Kind, Cur, PR.Labels);
+      Decode.front()->tryDecodePage(Cur, PR.Labels);
   if (!Code.ok())
     return Code.error();
   auto F = std::make_shared<vm::VMFunction>();

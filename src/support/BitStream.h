@@ -18,8 +18,10 @@
 #include "support/Span.h"
 #include "support/Support.h"
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace ccomp {
@@ -77,6 +79,10 @@ private:
 /// Sequential LSB-first bit source. Reading past the end throws
 /// DecodeError (truncated stream); decode entry points catch at the
 /// frame boundary and return a typed error.
+///
+/// Bytes are buffered ahead into a 64-bit accumulator, so peekBits() can
+/// look at the next table-width bits in one step (the Huffman decoder's
+/// fast path) and a read is a shift and a mask.
 class BitReader {
 public:
   /*implicit*/ BitReader(ByteSpan S) : Data(S.data()), NBytes(S.size()) {}
@@ -87,14 +93,12 @@ public:
   uint32_t readBits(unsigned NBits) {
     if (NBits > 32)
       reportFatal("BitReader: bit count out of range"); // Caller bug.
-    while (NAcc < NBits) {
-      if (Pos >= NBytes)
+    if (NAcc < NBits) {
+      refill();
+      if (NAcc < NBits)
         decodeFail("BitReader: read past end of stream");
-      Acc |= static_cast<uint64_t>(Data[Pos++]) << NAcc;
-      NAcc += 8;
     }
-    uint32_t V = static_cast<uint32_t>(Acc) &
-                 (NBits >= 32 ? 0xFFFFFFFFu : ((1u << NBits) - 1u));
+    uint32_t V = static_cast<uint32_t>(Acc & lowMask(NBits));
     Acc >>= NBits;
     NAcc -= NBits;
     return V;
@@ -103,16 +107,104 @@ public:
   /// Reads a single bit.
   uint32_t readBit() { return readBits(1); }
 
-  /// True once every byte has been consumed and fewer than 8 buffered bits
-  /// remain (the tail padding).
-  bool nearEnd() const { return Pos >= NBytes && NAcc < 8; }
+  /// Returns the next \p NBits (at most 32) bits without consuming them.
+  /// Bits past the end of the stream read as zero; bufferedBits() says
+  /// how many of the peeked bits are real.
+  uint32_t peekBits(unsigned NBits) {
+    if (NBits > 32)
+      reportFatal("BitReader: bit count out of range"); // Caller bug.
+    if (NAcc < NBits)
+      refill();
+    return static_cast<uint32_t>(Acc & lowMask(NBits));
+  }
+
+  /// Bits buffered by the last peekBits() (or read), all of them real.
+  unsigned bufferedBits() const { return NAcc; }
+
+  /// Consumes \p NBits bits a peekBits() call has buffered; skipping
+  /// more than bufferedBits() is a caller bug.
+  void skipBits(unsigned NBits) {
+    if (NBits > NAcc)
+      reportFatal("BitReader: skip past the buffered bits"); // Caller bug.
+    Acc >>= NBits;
+    NAcc -= NBits;
+  }
+
+  /// Reads \p N whole bytes (8 bits each, at any bit alignment) into
+  /// \p Out; a stream holding fewer than 8 * N more bits throws
+  /// DecodeError before anything is written.
+  void readBytes(uint8_t *Out, size_t N) {
+    if (N > bitsLeft() / 8)
+      decodeFail("BitReader: read past end of stream");
+    size_t I = 0;
+    while (I != N && NAcc >= 8) { // Drain the accumulator.
+      Out[I++] = static_cast<uint8_t>(Acc);
+      Acc >>= 8;
+      NAcc -= 8;
+    }
+    if (I == N)
+      return;
+    // The accumulator holds NAcc < 8 bits: the rest of the run starts that
+    // many bits into Data[Pos], so each output byte straddles two input
+    // bytes (a plain copy when byte-aligned).
+    unsigned Shift = NAcc;
+    if (Shift == 0) {
+      std::memcpy(Out + I, Data + Pos, N - I);
+      Pos += N - I;
+      Acc = 0;
+      return;
+    }
+    uint32_t Low = static_cast<uint32_t>(Acc & lowMask(Shift));
+    for (; I != N; ++I) {
+      uint32_t B = Data[Pos++];
+      Out[I] = static_cast<uint8_t>(Low | (B << Shift));
+      Low = B >> (8 - Shift);
+    }
+    Acc = Low;
+  }
+
+  /// Unread bits, buffered or not.
+  size_t bitsLeft() const { return (NBytes - Pos) * 8 + NAcc; }
+
+  /// True once fewer than 8 bits remain (the tail padding).
+  bool nearEnd() const { return bitsLeft() < 8; }
 
   size_t bitPos() const { return Pos * 8 - NAcc; }
 
 private:
+  static uint64_t lowMask(unsigned NBits) { return (1ull << NBits) - 1; }
+
+  /// Buffers whole bytes until the accumulator holds at least 56 bits or
+  /// the input runs out. Called only with NAcc < 32.
+  void refill() {
+    if (NBytes - Pos >= 8) {
+      // One 8-byte load. Its bytes past the last whole one land above
+      // NAcc; they are the stream's own next bits, which the next refill
+      // ORs in again unchanged.
+      Acc |= load64LE(Data + Pos) << NAcc;
+      unsigned Take = (63 - NAcc) >> 3;
+      Pos += Take;
+      NAcc += Take * 8;
+      return;
+    }
+    while (NAcc <= 56 && Pos < NBytes) {
+      Acc |= static_cast<uint64_t>(Data[Pos++]) << NAcc;
+      NAcc += 8;
+    }
+  }
+
+  static uint64_t load64LE(const uint8_t *P) {
+    uint64_t V = 0;
+    std::memcpy(&V, P, 8);
+    if constexpr (std::endian::native == std::endian::big)
+      V = __builtin_bswap64(V);
+    return V;
+  }
+
   const uint8_t *Data;
   size_t NBytes;
   size_t Pos = 0;
+  // Bits above NAcc are zero or the stream's next bits (see refill()).
   uint64_t Acc = 0;
   unsigned NAcc = 0;
 };

@@ -9,6 +9,7 @@
 #include "support/Support.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <queue>
 
@@ -139,19 +140,19 @@ bool HuffmanCode::isValidLengthSet(const std::vector<uint8_t> &Lengths) {
   return Sum <= (1ull << Max);
 }
 
-HuffmanCode::HuffmanCode(std::vector<uint8_t> Lens)
+HuffmanCode::HuffmanCode(std::vector<uint8_t> Lens, Use U)
     : Lengths(std::move(Lens)) {
-  for (uint8_t L : Lengths)
-    MaxLen = std::max<unsigned>(MaxLen, L);
-  Codes.assign(Lengths.size(), 0);
-  CountOfLen.assign(MaxLen + 1, 0);
-  for (uint8_t L : Lengths)
-    if (L)
-      ++CountOfLen[L];
+  for (uint8_t L : Lengths) {
+    if (L > MaxCodeLen)
+      reportFatal("HuffmanCode: code length out of range");
+    ++CountOfLen[L];
+  }
+  CountOfLen[0] = 0; // Absent symbols.
+  for (unsigned L = 1; L <= MaxCodeLen; ++L)
+    if (CountOfLen[L])
+      MaxLen = L;
 
   // Canonical first-code per length.
-  FirstCode.assign(MaxLen + 2, 0);
-  FirstIndex.assign(MaxLen + 2, 0);
   uint32_t Code = 0, Index = 0;
   for (unsigned L = 1; L <= MaxLen; ++L) {
     Code = (Code + (L > 1 ? CountOfLen[L - 1] : 0)) << 1;
@@ -162,27 +163,45 @@ HuffmanCode::HuffmanCode(std::vector<uint8_t> Lens)
       reportFatal("HuffmanCode: oversubscribed code lengths");
   }
 
-  // Assign codes in (length, symbol) order.
-  SortedSyms.clear();
-  std::vector<uint32_t> NextCode(MaxLen + 1);
-  for (unsigned L = 1; L <= MaxLen; ++L)
-    NextCode[L] = FirstCode[L];
-  for (unsigned S = 0; S != Lengths.size(); ++S) {
-    unsigned L = Lengths[S];
-    if (!L)
-      continue;
-    Codes[S] = NextCode[L]++;
-  }
-  // SortedSyms[FirstIndex[L] + k] = k-th symbol of length L.
+  // SortedSyms[FirstIndex[L] + k] = k-th symbol of length L, whose code
+  // is FirstCode[L] + k.
   SortedSyms.assign(Index, 0);
-  std::vector<uint32_t> Fill(MaxLen + 1);
-  for (unsigned L = 1; L <= MaxLen; ++L)
-    Fill[L] = FirstIndex[L];
-  for (unsigned S = 0; S != Lengths.size(); ++S) {
-    unsigned L = Lengths[S];
-    if (!L)
-      continue;
-    SortedSyms[Fill[L]++] = S;
+  std::array<uint32_t, MaxCodeLen + 1> Fill = FirstIndex;
+  for (unsigned S = 0; S != Lengths.size(); ++S)
+    if (unsigned L = Lengths[S])
+      SortedSyms[Fill[L]++] = S;
+
+  if (U != Use::Decode) {
+    Codes.assign(Lengths.size(), 0);
+    for (unsigned L = 1; L <= MaxLen; ++L)
+      for (uint32_t K = 0; K != CountOfLen[L]; ++K)
+        Codes[SortedSyms[FirstIndex[L] + K]] = FirstCode[L] + K;
+  }
+  if (U == Use::Encode || MaxLen == 0)
+    return;
+
+  // Fill the decode table in canonical order, carrying the current code
+  // bit-reversed (the stream's order) and incrementing it in that form,
+  // so construction is O(2^TableBits + symbols). A code of L bits owns
+  // every entry whose low L bits equal it.
+  TableBits = std::min(MaxLen, MaxTableBits);
+  const uint32_t Size = 1u << TableBits;
+  Table.assign(Size, 0);
+  uint32_t Rev = 0;
+  for (uint32_t Sym : SortedSyms) {
+    unsigned L = Lengths[Sym];
+    if (L > TableBits)
+      break; // Longer codes take the bit-serial walk.
+    for (uint32_t J = Rev; J < Size; J += 1u << L)
+      Table[J] = Sym << 4 | L;
+    // Adding one to the MSB-first code clears its trailing ones and sets
+    // the zero above them; reversed, that is the highest zero of the low
+    // L bits and the ones above it.
+    uint32_t Zeros = ~Rev & ((1u << L) - 1);
+    if (!Zeros)
+      break; // The code space is full.
+    uint32_t Top = 1u << (std::bit_width(Zeros) - 1);
+    Rev = (Rev & (Top - 1)) | Top;
   }
 }
 
@@ -192,10 +211,15 @@ void HuffmanCode::encode(BitWriter &BW, unsigned Sym) const {
   // builds, producing an undecodable stream).
   if (Sym >= Lengths.size() || !Lengths[Sym])
     reportFatal("HuffmanCode: encoding a symbol with no code");
+  if (Codes.empty())
+    reportFatal("HuffmanCode: encoding with a decode-only code");
   BW.writeCodeMSB(Codes[Sym], Lengths[Sym]);
 }
 
-unsigned HuffmanCode::decode(BitReader &BR) const {
+/// The canonical bit-serial walk: the whole decoder for codes longer than
+/// the table, and the one place decode failures are raised, so a table
+/// miss fails exactly as a walk from the same position would.
+unsigned HuffmanCode::decodeSlow(BitReader &BR) const {
   uint32_t Code = 0;
   for (unsigned L = 1; L <= MaxLen; ++L) {
     Code = (Code << 1) | BR.readBit();

@@ -91,21 +91,20 @@ using FK = FieldKind;
 struct FieldDesc {
   FK F[MaxFields];
 };
-} // namespace
 
-static const FieldDesc &descOf(VMOp Op) {
-  static const FieldDesc LdSt = {{FK::Reg, FK::Imm, FK::Reg}};
-  static const FieldDesc RRR = {{FK::Reg, FK::Reg, FK::Reg}};
-  static const FieldDesc RRI = {{FK::Reg, FK::Reg, FK::Imm}};
-  static const FieldDesc RR = {{FK::Reg, FK::Reg, FK::None}};
-  static const FieldDesc RI = {{FK::Reg, FK::Imm, FK::None}};
-  static const FieldDesc BrRR = {{FK::Reg, FK::Reg, FK::Label}};
-  static const FieldDesc BrRI = {{FK::Reg, FK::Imm, FK::Label}};
-  static const FieldDesc Lab = {{FK::Label, FK::None, FK::None}};
-  static const FieldDesc Fn = {{FK::Func, FK::None, FK::None}};
-  static const FieldDesc R1 = {{FK::Reg, FK::None, FK::None}};
-  static const FieldDesc I1 = {{FK::Imm, FK::None, FK::None}};
-  static const FieldDesc None = {{FK::None, FK::None, FK::None}};
+constexpr FieldDesc descFor(VMOp Op) {
+  constexpr FieldDesc LdSt = {{FK::Reg, FK::Imm, FK::Reg}};
+  constexpr FieldDesc RRR = {{FK::Reg, FK::Reg, FK::Reg}};
+  constexpr FieldDesc RRI = {{FK::Reg, FK::Reg, FK::Imm}};
+  constexpr FieldDesc RR = {{FK::Reg, FK::Reg, FK::None}};
+  constexpr FieldDesc RI = {{FK::Reg, FK::Imm, FK::None}};
+  constexpr FieldDesc BrRR = {{FK::Reg, FK::Reg, FK::Label}};
+  constexpr FieldDesc BrRI = {{FK::Reg, FK::Imm, FK::Label}};
+  constexpr FieldDesc Lab = {{FK::Label, FK::None, FK::None}};
+  constexpr FieldDesc Fn = {{FK::Func, FK::None, FK::None}};
+  constexpr FieldDesc R1 = {{FK::Reg, FK::None, FK::None}};
+  constexpr FieldDesc I1 = {{FK::Imm, FK::None, FK::None}};
+  constexpr FieldDesc None = {{FK::None, FK::None, FK::None}};
 
   switch (Op) {
   case VMOp::LD_B: case VMOp::LD_BU: case VMOp::LD_H: case VMOp::LD_HU:
@@ -142,91 +141,105 @@ static const FieldDesc &descOf(VMOp Op) {
   case VMOp::ENTER: case VMOp::EXIT: case VMOp::SYS:
     return I1;
   case VMOp::EPI:
-    return None;
   case VMOp::NumOps:
     break;
   }
-  ccomp_unreachable("bad VM opcode");
+  return None;
 }
 
-const FieldKind *vm::fieldKinds(VMOp Op) { return descOf(Op).F; }
+/// Everything the field accessors need about one opcode, precomputed.
+struct OpInfo {
+  FieldDesc D;
+  bool Branch;
+  FieldLayout L;
+};
 
-unsigned vm::numFields(VMOp Op) {
-  const FieldDesc &D = descOf(Op);
-  unsigned N = 0;
-  while (N < MaxFields && D.F[N] != FK::None)
-    ++N;
-  return N;
-}
-
-/// Maps (opcode, assembly field index) onto Instr storage. Register
-/// fields fill Rd, Rs1, Rs2 in order of appearance; Imm and Label/Func
-/// use their dedicated slots. Compare-and-branch instructions have no
-/// destination, so their register fields start at Rs1 (matching the
-/// interpreter's reads).
-int64_t vm::getField(const Instr &In, unsigned I) {
-  const FieldDesc &D = descOf(In.Op);
-  unsigned RegSeen = isBranch(In.Op) ? 1 : 0;
+/// Register fields fill Rd, Rs1, Rs2 in order of appearance; Imm and
+/// Label/Func use their dedicated slots. Compare-and-branch
+/// instructions have no destination, so their register fields start at
+/// Rs1 (matching the interpreter's reads).
+constexpr OpInfo infoFor(VMOp Op) {
+  OpInfo I{descFor(Op), false,
+           {0, {FieldSlot::None, FieldSlot::None, FieldSlot::None}}};
+  for (unsigned K = 0; K != MaxFields; ++K)
+    I.Branch |= I.D.F[K] == FK::Label;
+  while (I.L.NumFields < MaxFields && I.D.F[I.L.NumFields] != FK::None)
+    ++I.L.NumFields;
+  unsigned RegSeen = I.Branch ? 1 : 0;
   for (unsigned K = 0; K != MaxFields; ++K) {
-    FK F = D.F[K];
-    if (F == FK::Reg) {
-      if (K == I)
-        return RegSeen == 0 ? In.Rd : (RegSeen == 1 ? In.Rs1 : In.Rs2);
+    switch (I.D.F[K]) {
+    case FK::Reg:
+      I.L.Slot[K] = RegSeen == 0   ? FieldSlot::Rd
+                    : RegSeen == 1 ? FieldSlot::Rs1
+                                   : FieldSlot::Rs2;
       ++RegSeen;
-      continue;
-    }
-    if (K == I) {
-      if (F == FK::Imm)
-        return In.Imm;
-      if (F == FK::Label || F == FK::Func)
-        return In.Target;
+      break;
+    case FK::Imm:
+      I.L.Slot[K] = FieldSlot::Imm;
+      break;
+    case FK::Label:
+    case FK::Func:
+      I.L.Slot[K] = FieldSlot::Target;
+      break;
+    case FK::None:
       break;
     }
+  }
+  return I;
+}
+
+constexpr unsigned NumOpcodes = static_cast<unsigned>(VMOp::NumOps);
+
+struct OpTable {
+  OpInfo Ops[NumOpcodes];
+};
+
+constexpr OpTable buildOpTable() {
+  OpTable T{};
+  for (unsigned Op = 0; Op != NumOpcodes; ++Op)
+    T.Ops[Op] = infoFor(static_cast<VMOp>(Op));
+  return T;
+}
+
+constexpr OpTable Table = buildOpTable();
+
+const OpInfo &infoOf(VMOp Op) {
+  if (static_cast<unsigned>(Op) >= NumOpcodes)
+    ccomp_unreachable("bad VM opcode");
+  return Table.Ops[static_cast<unsigned>(Op)];
+}
+
+FieldSlot slotOf(const Instr &In, unsigned I) {
+  FieldSlot S = I < MaxFields ? infoOf(In.Op).L.Slot[I] : FieldSlot::None;
+  if (S == FieldSlot::None)
+    ccomp_unreachable("field index out of range");
+  return S;
+}
+} // namespace
+
+const FieldKind *vm::fieldKinds(VMOp Op) { return infoOf(Op).D.F; }
+
+unsigned vm::numFields(VMOp Op) { return infoOf(Op).L.NumFields; }
+
+const FieldLayout &vm::fieldLayout(VMOp Op) { return infoOf(Op).L; }
+
+int64_t vm::getField(const Instr &In, unsigned I) {
+  switch (slotOf(In, I)) {
+  case FieldSlot::Rd: return In.Rd;
+  case FieldSlot::Rs1: return In.Rs1;
+  case FieldSlot::Rs2: return In.Rs2;
+  case FieldSlot::Imm: return In.Imm;
+  case FieldSlot::Target: return In.Target;
+  case FieldSlot::None: break;
   }
   ccomp_unreachable("field index out of range");
 }
 
 void vm::setField(Instr &In, unsigned I, int64_t V) {
-  const FieldDesc &D = descOf(In.Op);
-  unsigned RegSeen = isBranch(In.Op) ? 1 : 0;
-  for (unsigned K = 0; K != MaxFields; ++K) {
-    FK F = D.F[K];
-    if (F == FK::Reg) {
-      if (K == I) {
-        uint8_t R = static_cast<uint8_t>(V);
-        if (RegSeen == 0)
-          In.Rd = R;
-        else if (RegSeen == 1)
-          In.Rs1 = R;
-        else
-          In.Rs2 = R;
-        return;
-      }
-      ++RegSeen;
-      continue;
-    }
-    if (K == I) {
-      if (F == FK::Imm) {
-        In.Imm = static_cast<int32_t>(V);
-        return;
-      }
-      if (F == FK::Label || F == FK::Func) {
-        In.Target = static_cast<uint32_t>(V);
-        return;
-      }
-      break;
-    }
-  }
-  ccomp_unreachable("field index out of range");
+  setFieldAt(In, slotOf(In, I), V);
 }
 
-bool vm::isBranch(VMOp Op) {
-  const FieldDesc &D = descOf(Op);
-  for (unsigned K = 0; K != MaxFields; ++K)
-    if (D.F[K] == FK::Label)
-      return true;
-  return false;
-}
+bool vm::isBranch(VMOp Op) { return infoOf(Op).Branch; }
 
 bool vm::isBranchImm(VMOp Op) {
   return Op >= VMOp::BEQI && Op <= VMOp::BGEUI;

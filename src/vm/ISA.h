@@ -130,6 +130,29 @@ int64_t getField(const Instr &In, unsigned I);
 /// Writes operand field \p I (assembly order) of \p In.
 void setField(Instr &In, unsigned I, int64_t V);
 
+/// Where an operand field is stored in Instr.
+enum class FieldSlot : uint8_t { Rd, Rs1, Rs2, Imm, Target, None };
+
+/// An opcode's operand fields, precomputed: how many, and where each
+/// lives (what getField/setField resolve per call).
+struct FieldLayout {
+  uint8_t NumFields;
+  FieldSlot Slot[MaxFields];
+};
+const FieldLayout &fieldLayout(VMOp Op);
+
+/// Writes \p V to the field stored at \p S, truncated as setField does.
+inline void setFieldAt(Instr &In, FieldSlot S, int64_t V) {
+  switch (S) {
+  case FieldSlot::Rd: In.Rd = static_cast<uint8_t>(V); break;
+  case FieldSlot::Rs1: In.Rs1 = static_cast<uint8_t>(V); break;
+  case FieldSlot::Rs2: In.Rs2 = static_cast<uint8_t>(V); break;
+  case FieldSlot::Imm: In.Imm = static_cast<int32_t>(V); break;
+  case FieldSlot::Target: In.Target = static_cast<uint32_t>(V); break;
+  case FieldSlot::None: break;
+  }
+}
+
 /// True for compare-and-branch / JMP (instructions with a Label field).
 bool isBranch(VMOp Op);
 

@@ -10,6 +10,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <new>
+
+#include <sys/mman.h>
 
 using namespace ccomp;
 using namespace ccomp::vm;
@@ -88,13 +91,27 @@ bool ProgramSpanResolver::resolveSpan(uint32_t Fn, uint32_t Idx, CodeSpan &Out,
   return true;
 }
 
+DataMemory::DataMemory(size_t Bytes) : N(Bytes) {
+  if (!N)
+    return;
+  void *P = mmap(nullptr, N, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (P == MAP_FAILED)
+    throw std::bad_alloc();
+  Ptr = static_cast<uint8_t *>(P);
+}
+
+DataMemory::~DataMemory() {
+  if (Ptr)
+    munmap(Ptr, N);
+}
+
 Machine::Machine(const VMProgram &P, RunOptions Options)
-    : Prog(P), Opts(Options) {
+    : Prog(P), Opts(Options), Mem(Opts.MemBytes) {
   resetState();
 }
 
 void Machine::resetState() {
-  Mem.assign(Opts.MemBytes, 0);
   for (const VMGlobal &G : Prog.Globals) {
     if (G.Addr + G.Size > Mem.size()) {
       trap("global '" + G.Name + "' does not fit in memory");

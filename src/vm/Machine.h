@@ -161,6 +161,26 @@ struct RunResult {
   std::vector<uint32_t> PageTrace;    ///< Run-length page reference string.
 };
 
+/// The VM's data memory: zero-filled, and committed page by page as the
+/// program touches it (an anonymous mapping), so a run costs resident
+/// memory only for the pages it uses rather than all of MemBytes.
+class DataMemory {
+public:
+  explicit DataMemory(size_t Bytes);
+  ~DataMemory();
+  DataMemory(const DataMemory &) = delete;
+  DataMemory &operator=(const DataMemory &) = delete;
+
+  uint8_t *data() { return Ptr; }
+  const uint8_t *data() const { return Ptr; }
+  size_t size() const { return N; }
+  uint8_t operator[](size_t I) const { return Ptr[I]; }
+
+private:
+  uint8_t *Ptr = nullptr;
+  size_t N = 0;
+};
+
 /// VM architectural state plus the reference interpreter.
 class Machine {
 public:
@@ -265,7 +285,7 @@ private:
   RunOptions Opts;
 
   uint32_t R[16] = {0};
-  std::vector<uint8_t> Mem;
+  DataMemory Mem;
   uint32_t HeapPtr = 0;
 
   bool Halted = false;

@@ -154,7 +154,7 @@ std::vector<uint8_t> encodeHuffmanBody(const std::vector<uint64_t> &Vals) {
   std::vector<uint64_t> Freq(256, 0);
   for (uint32_t I : Indices)
     ++Freq[I >= 255 ? 255 : I];
-  HuffmanCode Code(buildHuffmanLengths(Freq, 15));
+  HuffmanCode Code(buildHuffmanLengths(Freq, 15), HuffmanCode::Use::Encode);
 
   BitWriter BW;
   for (uint32_t I : Indices)
@@ -223,7 +223,7 @@ std::vector<uint64_t> decodeHuffmanBody(ByteReader &R) {
   }
   if (!HuffmanCode::isValidLengthSet(Lens))
     decodeFail("wire: corrupt Huffman table");
-  HuffmanCode Code(std::move(Lens));
+  HuffmanCode Code(std::move(Lens), HuffmanCode::Use::Decode);
   size_t BitLen = R.readVarU();
   std::vector<uint8_t> Bits = R.readBytes(BitLen);
   size_t EscLen = R.readVarU();

@@ -244,12 +244,13 @@ TEST(Brisc, AblationKnobsExecuteCorrectly) {
 TEST(Brisc, DictionaryPatternsWellFormed) {
   vm::VMProgram P = buildProgram();
   brisc::BriscProgram B = brisc::compress(P);
-  for (const brisc::Pattern &Pat : B.Pats)
-    EXPECT_TRUE(Pat.wellFormed()) << Pat.str();
+  for (uint32_t Id = 0; Id != B.numPatterns(); ++Id)
+    EXPECT_TRUE(B.pattern(Id).wellFormed()) << B.pattern(Id).str();
   // Successor tables must reference valid ids.
-  for (const auto &L : B.Successors)
-    for (uint32_t Id : L)
-      EXPECT_LT(Id, B.Pats.size());
+  ASSERT_EQ(B.Successors.numContexts(), B.numPatterns() + 1);
+  for (uint32_t Ctx = 0; Ctx != B.Successors.numContexts(); ++Ctx)
+    for (uint32_t Id : B.Successors.of(Ctx))
+      EXPECT_LT(Id, B.numPatterns());
 }
 
 TEST(Brisc, TruncationAtEveryEighthYieldsTypedError) {
@@ -267,6 +268,37 @@ TEST(Brisc, TruncationAtEveryEighthYieldsTypedError) {
         EXPECT_FALSE(R.error().message().empty());
     }
   }
+}
+
+TEST(Brisc, TrailingBytesRejected) {
+  // Regression: parse stopped after the last field it knew and accepted
+  // an image with bytes appended.
+  vm::VMProgram P = buildProgram();
+  brisc::BriscProgram B = brisc::compress(P);
+  for (bool IncludeData : {true, false}) {
+    std::vector<uint8_t> Img = B.serialize(IncludeData);
+    ASSERT_TRUE(brisc::BriscProgram::parse(Img).ok());
+    Img.push_back(0);
+    Img.push_back(0);
+    Result<brisc::BriscProgram> R = brisc::BriscProgram::parse(Img);
+    ASSERT_FALSE(R.ok());
+    EXPECT_EQ(R.error().message(), "brisc: trailing bytes");
+  }
+}
+
+TEST(Brisc, InterpreterTrapsOnEscapedPatternIdPastDictionary) {
+  // Regression: an escape opcode naming a pattern id past the dictionary
+  // indexed the dictionary unchecked (a wild read in the prologue scan).
+  vm::VMProgram P = buildProgram();
+  brisc::BriscProgram B = brisc::compress(P);
+  B.Funcs[B.Entry].Code = {255, 0xFF, 0x7F};
+  B.Funcs[B.Entry].BBOffsets = {0};
+  Result<brisc::BriscProgram> Parsed =
+      brisc::BriscProgram::parse(B.serialize(/*IncludeData=*/true));
+  ASSERT_TRUE(Parsed.ok()) << Parsed.error().message();
+  vm::RunResult R = brisc::interpret(Parsed.value());
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Trap, "bad pattern id");
 }
 
 TEST(Brisc, VMEncodingTruncationYieldsTypedError) {

@@ -323,4 +323,61 @@ TEST(Payload, FuncImageRoundTrip) {
   EXPECT_FALSE(tryDecodeFuncImage(std::vector<uint8_t>{1, 2, 3}).ok());
 }
 
+/// The page route every codec inherits: payload, then
+/// tryDecodePagePayload.
+Result<std::vector<vm::Instr>> viaPayload(const Codec &C, ByteSpan Frame,
+                                          const std::vector<uint32_t> &L) {
+  Result<std::vector<uint8_t>> Payload = C.tryDecompress(Frame);
+  if (!Payload.ok())
+    return Payload.error();
+  return tryDecodePagePayload(C.payloadKind(), Payload.value(), L);
+}
+
+// BRISC decodes a page frame straight to instructions; the result must
+// be the one the function-image round trip gives, for every page of the
+// corpus suite and of the icc class at every page size the store uses.
+TEST(Payload, BriscPageRouteMatchesImageRoute) {
+  const Codec &Brisc = *Registry::instance().find("brisc");
+  std::vector<const vm::VMProgram *> Programs;
+  for (const Compiled &C : corpusPrograms())
+    Programs.push_back(&C.P);
+  vm::VMProgram Icc = buildVM(corpus::sizeClassSource("icc"));
+  Programs.push_back(&Icc);
+  size_t Pages = 0;
+  for (size_t TargetBytes : {0u, 64u, 256u, 4096u})
+    for (const vm::VMProgram *P : Programs)
+      for (const vm::VMFunction &F : P->Functions)
+        for (const PageChunk &C : splitFunctionPages(F, TargetBytes)) {
+          std::vector<uint32_t> Labels;
+          std::vector<uint8_t> Frame = Brisc.compress(
+              encodePagePayload(PayloadKind::FuncImage, C.Code, &Labels));
+          Result<std::vector<vm::Instr>> Direct =
+              Brisc.tryDecodePage(Frame, Labels);
+          Result<std::vector<vm::Instr>> Image =
+              viaPayload(Brisc, Frame, Labels);
+          ASSERT_TRUE(Direct.ok()) << F.Name << ": " << Direct.error().message();
+          ASSERT_TRUE(Image.ok()) << F.Name << ": " << Image.error().message();
+          ASSERT_EQ(Direct.value(), Image.value())
+              << F.Name << " page at " << C.FirstInstr;
+          ASSERT_EQ(Direct.value(), C.Code) << F.Name;
+          ++Pages;
+        }
+  EXPECT_GT(Pages, 4000u);
+}
+
+TEST(Payload, PageDecodeCountsLikeDecompress) {
+  const Codec &Brisc = *Registry::instance().find("brisc");
+  vm::VMProgram P = buildVM(syntheticSource(3));
+  std::vector<uint32_t> Labels;
+  std::vector<uint8_t> Frame = Brisc.compress(encodePagePayload(
+      PayloadKind::FuncImage, P.Functions[0].Code, &Labels));
+  CodecStats Before = Brisc.snapshot();
+  ASSERT_TRUE(Brisc.tryDecodePage(Frame, Labels).ok());
+  EXPECT_FALSE(Brisc.tryDecodePage(std::vector<uint8_t>{1, 2}, Labels).ok());
+  CodecStats After = Brisc.snapshot();
+  EXPECT_EQ(After.DecompressCalls - Before.DecompressCalls, 2u);
+  EXPECT_EQ(After.DecodeErrors - Before.DecodeErrors, 1u);
+  EXPECT_GT(After.DecompressNanos, Before.DecompressNanos);
+}
+
 } // namespace

@@ -21,6 +21,7 @@
 #include "brisc/Brisc.h"
 #include "flate/Flate.h"
 #include "pipeline/Codec.h"
+#include "pipeline/Payload.h"
 #include "pipeline/Pipeline.h"
 #include "pipeline/Profile.h"
 #include "store/CodeStore.h"
@@ -159,6 +160,127 @@ TEST(FaultInjection, BriscImageSurvivesCorruptionThroughLoader) {
           },
           "brisc");
   }
+}
+
+//===----------------------------------------------------------------------===//
+// BRISC page frames: the direct route and the function-image route
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The page route every codec inherits: payload, then
+/// tryDecodePagePayload.
+Result<std::vector<vm::Instr>>
+viaPayload(const pipeline::Codec &C, ByteSpan Frame,
+           const std::vector<uint32_t> &Labels) {
+  Result<std::vector<uint8_t>> Payload = C.tryDecompress(Frame);
+  if (!Payload.ok())
+    return Payload.error();
+  return pipeline::tryDecodePagePayload(C.payloadKind(), Payload.value(),
+                                        Labels);
+}
+
+/// Decodes \p Frame both ways; both must fail with the same message.
+void expectBothRoutesFail(const std::vector<uint8_t> &Frame,
+                          const std::vector<uint32_t> &Labels,
+                          const std::string &Want, const char *What) {
+  const pipeline::Codec &Brisc = *pipeline::Registry::instance().find("brisc");
+  Result<std::vector<vm::Instr>> Direct = Brisc.tryDecodePage(Frame, Labels);
+  Result<std::vector<vm::Instr>> Image = viaPayload(Brisc, Frame, Labels);
+  ASSERT_FALSE(Direct.ok()) << What;
+  ASSERT_FALSE(Image.ok()) << What;
+  EXPECT_EQ(Direct.error().message(), Want) << What;
+  EXPECT_EQ(Image.error().message(), Want) << What;
+}
+
+/// One whole-function page of a function with branches, BRISC-coded.
+struct BriscPage {
+  std::vector<vm::Instr> Code;
+  std::vector<uint32_t> Labels;
+  std::vector<uint8_t> Frame;
+};
+
+BriscPage briscPage() {
+  vm::VMProgram P = buildVM(syntheticSource(12));
+  for (const vm::VMFunction &F : P.Functions) {
+    std::vector<pipeline::PageChunk> Pages =
+        pipeline::splitFunctionPages(F, 0);
+    BriscPage B;
+    B.Code = Pages[0].Code;
+    std::vector<uint8_t> Payload = pipeline::encodePagePayload(
+        pipeline::PayloadKind::FuncImage, B.Code, &B.Labels);
+    if (B.Labels.size() < 3)
+      continue;
+    B.Frame = pipeline::Registry::instance().find("brisc")->compress(Payload);
+    return B;
+  }
+  ADD_FAILURE() << "no function with three branch labels";
+  return {};
+}
+
+} // namespace
+
+TEST(FaultInjection, CraftedBriscPageFramesFailTypedOnBothRoutes) {
+  BriscPage Page = briscPage();
+  ASSERT_FALSE(Page.Frame.empty());
+
+  // A branch whose instruction index lies past the page's label table.
+  std::vector<uint32_t> Short(Page.Labels.begin(), Page.Labels.end() - 1);
+  expectBothRoutesFail(Page.Frame, Short,
+                       "page: branch rank outside the page label table",
+                       "short label table");
+
+  Result<brisc::BriscProgram> Clean = brisc::BriscProgram::parse(Page.Frame);
+  ASSERT_TRUE(Clean.ok()) << Clean.error().message();
+  ASSERT_EQ(Clean.value().Funcs.size(), 1u);
+
+  // A block offset inside an instruction's operand bytes.
+  bool Found = false;
+  const brisc::BriscFunction &BF = Clean.value().Funcs[0];
+  for (uint32_t Off = 1; Off < BF.Code.size() && !Found; ++Off) {
+    brisc::BriscProgram B = Clean.value();
+    std::vector<uint32_t> &BB = B.Funcs[0].BBOffsets;
+    auto It = std::lower_bound(BB.begin(), BB.end(), Off);
+    if (It != BB.end() && *It == Off)
+      continue;
+    BB.insert(It, Off);
+    Result<vm::VMProgram> V = brisc::tryDecodeToVM(B);
+    if (V.ok() ||
+        V.error().message() != "brisc: block offset not at a slot boundary")
+      continue;
+    Found = true;
+    expectBothRoutesFail(B.serialize(/*IncludeData=*/true), Page.Labels,
+                         "brisc: block offset not at a slot boundary",
+                         "off-slot block offset");
+  }
+  EXPECT_TRUE(Found) << "no operand byte to point a block offset into";
+
+  // An escaped pattern id past the dictionary.
+  brisc::BriscProgram B = Clean.value();
+  B.Funcs[0].Code = {255, 0xFF, 0xFF};
+  B.Funcs[0].BBOffsets = {0};
+  expectBothRoutesFail(B.serialize(/*IncludeData=*/true), Page.Labels,
+                       "brisc: bad pattern id", "bad pattern id");
+}
+
+TEST(FaultInjection, BriscPageRoutesAgreeOnCorruptFrames) {
+  // Every corrupted page frame either decodes to the same instructions
+  // on both routes or fails on both.
+  BriscPage Page = briscPage();
+  const pipeline::Codec &Brisc = *pipeline::Registry::instance().find("brisc");
+  sweep(Page.Frame, 3100,
+        [&](const std::vector<uint8_t> &Bad) {
+          Result<std::vector<vm::Instr>> Direct =
+              Brisc.tryDecodePage(Bad, Page.Labels);
+          Result<std::vector<vm::Instr>> Image =
+              viaPayload(Brisc, Bad, Page.Labels);
+          EXPECT_EQ(Direct.ok(), Image.ok());
+          if (Direct.ok() && Image.ok()) {
+            EXPECT_EQ(Direct.value(), Image.value());
+          }
+          return Direct.ok();
+        },
+        "brisc page");
 }
 
 //===----------------------------------------------------------------------===//

@@ -156,6 +156,44 @@ TEST(Flate, TruncationAtEveryEighthYieldsTypedError) {
   }
 }
 
+TEST(Flate, TrailingBytesAfterFinalBlockRejected) {
+  // Regression: the decoder stopped at the final block and ignored what
+  // followed, so a valid frame plus two appended bytes decoded fine.
+  // Only the final byte's padding (fewer than 8 bits) may remain.
+  for (size_t N : {1u, 100u, 5000u}) {
+    std::vector<uint8_t> In(N);
+    for (size_t I = 0; I != N; ++I)
+      In[I] = static_cast<uint8_t>(I * 7 + I / 13);
+    std::vector<uint8_t> Z = flate::compress(In);
+    ASSERT_TRUE(flate::tryDecompress(Z).ok());
+    for (size_t Extra : {1u, 2u}) {
+      std::vector<uint8_t> Padded = Z;
+      Padded.insert(Padded.end(), Extra, 0);
+      Result<std::vector<uint8_t>> R = flate::tryDecompress(Padded);
+      ASSERT_FALSE(R.ok()) << N << " bytes + " << Extra;
+      EXPECT_EQ(R.error().message(),
+                "flate: trailing bytes after final block");
+    }
+  }
+}
+
+TEST(Flate, StoredBlocksAndLongOverlappingMatchesRoundTrip) {
+  // Stored blocks start at any bit offset, and runs decode as
+  // overlapping matches of every distance from 1 up: both now copy in
+  // blocks, not byte by byte through the bit reader.
+  PRNG Rng(11);
+  std::vector<uint8_t> Noise(70000);
+  for (uint8_t &B : Noise)
+    B = static_cast<uint8_t>(Rng.next());
+  roundTrip(Noise); // Incompressible: stored blocks.
+  std::vector<uint8_t> Runs;
+  for (unsigned Period = 1; Period != 40; ++Period)
+    for (unsigned I = 0; I != 600; ++I)
+      Runs.push_back(static_cast<uint8_t>(Period * 3 + I % Period));
+  Runs.insert(Runs.end(), Noise.begin(), Noise.begin() + 3000);
+  roundTrip(Runs);
+}
+
 TEST(Flate, HugeDeclaredSizeRejectedWithoutAllocating) {
   // Regression: the decoder used to `reserve(OrigSize)` straight from
   // the frame's unvalidated varint, so a 12-byte input claiming a 1 TiB

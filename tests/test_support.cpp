@@ -15,6 +15,9 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <string>
+
 using namespace ccomp;
 
 TEST(BitStream, RoundTripFixedPatterns) {
@@ -254,6 +257,233 @@ TEST(Huffman, DecodeInvalidCodeThrowsDecodeError) {
           (void)Code.decode(R);
       },
       DecodeError);
+}
+
+namespace {
+
+/// How a decode of a symbol sequence ended.
+enum class Stop { Done, Truncated, Invalid };
+
+struct Decoded {
+  std::vector<unsigned> Syms;
+  std::vector<size_t> BitPos; ///< Stream position after each symbol.
+  Stop End = Stop::Done;
+};
+
+/// The canonical Huffman decoder written out bit by bit, independent of
+/// BitReader: read one bit, extend the MSB-first code, and stop at the
+/// first length whose canonical range holds it.
+Decoded referenceDecode(const std::vector<uint8_t> &Lens,
+                        const std::vector<uint8_t> &Bytes, size_t Count) {
+  unsigned MaxLen = 0;
+  for (uint8_t L : Lens)
+    MaxLen = std::max<unsigned>(MaxLen, L);
+  // Canonical codes: by length, then symbol.
+  std::vector<std::pair<uint32_t, unsigned>> CodeOf(Lens.size(), {0, 0});
+  uint32_t Code = 0;
+  for (unsigned L = 1; L <= MaxLen; ++L) {
+    for (unsigned S = 0; S != Lens.size(); ++S)
+      if (Lens[S] == L)
+        CodeOf[S] = {Code++, L};
+    Code <<= 1;
+  }
+  Decoded D;
+  size_t Pos = 0;
+  const size_t NBits = Bytes.size() * 8;
+  for (size_t K = 0; K != Count; ++K) {
+    uint32_t V = 0;
+    bool Found = false;
+    for (unsigned L = 1; L <= MaxLen && !Found; ++L) {
+      if (Pos >= NBits) {
+        D.End = Stop::Truncated;
+        return D;
+      }
+      V = V << 1 | ((Bytes[Pos / 8] >> (Pos % 8)) & 1);
+      ++Pos;
+      for (unsigned S = 0; S != Lens.size(); ++S)
+        if (CodeOf[S].second == L && CodeOf[S].first == V) {
+          D.Syms.push_back(S);
+          D.BitPos.push_back(Pos);
+          Found = true;
+          break;
+        }
+    }
+    if (!Found) {
+      D.End = Stop::Invalid;
+      return D;
+    }
+  }
+  return D;
+}
+
+Decoded codeDecode(const HuffmanCode &Code, const std::vector<uint8_t> &Bytes,
+                   size_t Count) {
+  Decoded D;
+  BitReader R(Bytes);
+  for (size_t K = 0; K != Count; ++K) {
+    try {
+      D.Syms.push_back(Code.decode(R));
+      D.BitPos.push_back(R.bitPos());
+    } catch (const DecodeError &E) {
+      std::string M = E.message();
+      D.End = M.find("past end") != std::string::npos ? Stop::Truncated
+              : M.find("invalid code") != std::string::npos
+                  ? Stop::Invalid
+                  : Stop::Done;
+      EXPECT_NE(D.End, Stop::Done) << "unexpected decode error: " << M;
+      return D;
+    }
+  }
+  return D;
+}
+
+/// A random valid length set over \p N symbols with lengths <= \p MaxLen:
+/// complete when \p Complete, else with Kraft sum below one.
+std::vector<uint8_t> randomLengths(PRNG &Rng, unsigned N, unsigned MaxLen,
+                                   bool Complete) {
+  unsigned Live = 1 + static_cast<unsigned>(
+                          Rng.below(std::min<uint64_t>(N, 1ull << MaxLen)));
+  std::vector<uint64_t> Freq(N, 0);
+  for (unsigned K = 0; K != Live; ++K)
+    Freq[Rng.below(N)] += 1 + Rng.below(1000) * Rng.below(3);
+  std::vector<uint8_t> Lens = buildHuffmanLengths(Freq, MaxLen);
+  if (!Complete) {
+    // Dropping a code (or lengthening one) leaves a hole in the code
+    // space; a lone live symbol already has one.
+    std::vector<unsigned> Coded;
+    for (unsigned S = 0; S != N; ++S)
+      if (Lens[S])
+        Coded.push_back(S);
+    unsigned Pick = Coded[Rng.below(Coded.size())];
+    if (Coded.size() > 1 && Rng.chance(1, 2))
+      Lens[Pick] = 0;
+    else if (Lens[Pick] < MaxLen)
+      ++Lens[Pick];
+  }
+  return Lens;
+}
+
+} // namespace
+
+TEST(Huffman, TableDecodeMatchesBitSerialWalk) {
+  // The table decoder must agree with the canonical bit-serial walk on
+  // every symbol, every stream position, and the kind of failure: random
+  // complete and incomplete codes, alphabets of 1..286 symbols, maximum
+  // lengths 1..15 (around and past the table width), valid streams cut
+  // inside a code, and random bits that hit codes no symbol owns.
+  PRNG Rng(2024);
+  unsigned Cut = 0, Invalid = 0;
+  for (int Trial = 0; Trial != 600; ++Trial) {
+    unsigned N = 1 + static_cast<unsigned>(Rng.below(286));
+    unsigned MaxLen = 1 + static_cast<unsigned>(Rng.below(15));
+    bool Complete = Rng.chance(1, 2);
+    std::vector<uint8_t> Lens = randomLengths(Rng, N, MaxLen, Complete);
+    ASSERT_TRUE(HuffmanCode::isValidLengthSet(Lens));
+    HuffmanCode Both(Lens);
+    HuffmanCode Dec(Lens, HuffmanCode::Use::Decode);
+    HuffmanCode Walk(Lens, HuffmanCode::Use::Encode); // No table.
+
+    std::vector<unsigned> Coded;
+    for (unsigned S = 0; S != N; ++S)
+      if (Lens[S])
+        Coded.push_back(S);
+    std::vector<std::vector<uint8_t>> Streams;
+    // A valid stream of random symbols, whole and cut short.
+    BitWriter W;
+    size_t Count = 1 + Rng.below(200);
+    for (size_t K = 0; K != Count; ++K)
+      Both.encode(W, Coded[Rng.below(Coded.size())]);
+    std::vector<uint8_t> Valid = W.finish();
+    Streams.push_back(Valid);
+    for (int C = 0; C != 3; ++C)
+      Streams.emplace_back(Valid.begin(),
+                           Valid.begin() + Rng.below(Valid.size() + 1));
+    // Random bits.
+    std::vector<uint8_t> Noise(1 + Rng.below(64));
+    for (uint8_t &B : Noise)
+      B = static_cast<uint8_t>(Rng.next());
+    Streams.push_back(Noise);
+
+    for (const std::vector<uint8_t> &S : Streams) {
+      size_t Want = Count + 8;
+      Decoded Ref = referenceDecode(Lens, S, Want);
+      for (const HuffmanCode *C : {&Both, &Dec, &Walk}) {
+        Decoded Got = codeDecode(*C, S, Want);
+        ASSERT_EQ(Got.Syms, Ref.Syms) << "trial " << Trial;
+        ASSERT_EQ(Got.BitPos, Ref.BitPos) << "trial " << Trial;
+        ASSERT_EQ(Got.End, Ref.End) << "trial " << Trial;
+      }
+      Cut += Ref.End == Stop::Truncated;
+      Invalid += Ref.End == Stop::Invalid;
+    }
+  }
+  // The trials must reach both failure kinds, not only clean decodes.
+  EXPECT_GT(Cut, 100u);
+  EXPECT_GT(Invalid, 50u);
+}
+
+TEST(Huffman, TableDecodeStopsInsideAShortCodeAtTheEnd) {
+  // Lengths {1, 2, 3, 3}: codes 0, 10, 110, 111 (MSB-first). A stream
+  // whose last byte ends inside "110" must fail as truncated, exactly as
+  // the walk does, even though the table could match the zero padding.
+  std::vector<uint8_t> Lens = {1, 2, 3, 3};
+  HuffmanCode Code(Lens);
+  BitWriter W;
+  for (int K = 0; K != 7; ++K)
+    Code.encode(W, 0); // Seven 1-bit codes...
+  Code.encode(W, 2);   // ...then a 3-bit code straddling the byte.
+  std::vector<uint8_t> B = W.finish();
+  ASSERT_EQ(B.size(), 2u);
+  B.pop_back();
+  Decoded Ref = referenceDecode(Lens, B, 8);
+  Decoded Got = codeDecode(Code, B, 8);
+  EXPECT_EQ(Ref.End, Stop::Truncated);
+  EXPECT_EQ(Got.Syms, Ref.Syms);
+  EXPECT_EQ(Got.End, Stop::Truncated);
+}
+
+TEST(BitStream, PeekSkipAndByteRunsAtAnyAlignment) {
+  PRNG Rng(5);
+  std::vector<uint8_t> Data(300);
+  for (uint8_t &B : Data)
+    B = static_cast<uint8_t>(Rng.next());
+  for (unsigned Lead = 0; Lead != 16; ++Lead) {
+    BitReader R(Data);
+    uint32_t Head = R.readBits(Lead);
+    EXPECT_EQ(Head, Lead ? (Data[0] | Data[1] << 8) & ((1u << Lead) - 1) : 0);
+    // A peek does not consume; a skip does.
+    uint32_t P = R.peekBits(9);
+    EXPECT_EQ(R.peekBits(9), P);
+    EXPECT_GE(R.bufferedBits(), 9u);
+    R.skipBits(9);
+    EXPECT_EQ(R.bitPos(), Lead + 9u);
+    // Whole bytes from an arbitrary bit offset.
+    size_t At = R.bitPos();
+    std::vector<uint8_t> Out(200);
+    R.readBytes(Out.data(), Out.size());
+    for (size_t I = 0; I != Out.size(); ++I) {
+      size_t Bit = At + 8 * I;
+      unsigned V = (Data[Bit / 8] | Data[Bit / 8 + 1] << 8) >> (Bit % 8);
+      ASSERT_EQ(Out[I], static_cast<uint8_t>(V)) << "lead " << Lead;
+    }
+    EXPECT_EQ(R.bitPos(), At + 1600);
+    // Reading continues bit-exactly after the run.
+    size_t Bit = R.bitPos();
+    unsigned Want = (Data[Bit / 8] | Data[Bit / 8 + 1] << 8) >> (Bit % 8);
+    EXPECT_EQ(R.readBits(5), Want & 31u);
+    // A run longer than the rest of the stream fails before reading.
+    EXPECT_THROW(R.readBytes(Out.data(), 100), DecodeError);
+  }
+  // Peeking past the end pads with zeros and reports the real bits.
+  std::vector<uint8_t> One = {0xA5};
+  BitReader R(One);
+  R.readBits(3);
+  EXPECT_EQ(R.peekBits(9), 0xA5u >> 3);
+  EXPECT_EQ(R.bufferedBits(), 5u);
+  EXPECT_EQ(R.bitsLeft(), 5u);
+  R.skipBits(5);
+  EXPECT_EQ(R.bitsLeft(), 0u);
+  EXPECT_THROW(R.readBits(1), DecodeError);
 }
 
 TEST(MTF, DecodeOutOfRangeIndexThrowsDecodeError) {
